@@ -10,8 +10,6 @@ is written atomically.
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _io
 import json
 import logging
 import os
@@ -30,13 +28,13 @@ from .errors import (
 )
 from .estimation import FitConfig, PenaltyConfig, fit_em
 from .metrics import (
+    _km_weighted_auc,
     concordance_index,
     default_time_grid,
-    integrated_auc,
     risk_markers,
     time_dependent_roc,
 )
-from .model import expected_survival_time, survival, winning_probability
+from .model import _expected_times, _survival_and_winning
 from .simulation import builtin_scenario, generate
 
 log = logging.getLogger("competing_weibull")
@@ -157,12 +155,9 @@ def cmd_fit(args) -> int:
     formats.atomic_write_text(args.out, formats.canonical_json(payload))
 
     eta_path = args.eta or _sidecar(args.out, ".eta.csv")
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([f"eta{l + 1}" for l in range(spec.n_groups)] + ["censored"])
-    for row, censored in zip(result.winning_probs, result.censored_rows):
-        writer.writerow([repr(float(v)) for v in row] + [int(censored)])
-    formats.atomic_write_text(eta_path, buffer.getvalue())
+    header = [f"eta{l + 1}" for l in range(spec.n_groups)] + ["censored"]
+    rows = zip(result.winning_probs.tolist(), result.censored_rows.tolist())
+    formats.write_csv(eta_path, header, [eta + [int(c)] for eta, c in rows])
 
     if not result.converged:
         log.warning("EM did not converge within %d iterations", result.n_iters)
@@ -184,23 +179,18 @@ def cmd_predict(args) -> int:
         )
     horizons = _parse_horizons(args.at) if args.at else []
 
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     header = ["expected_time"]
     for t in horizons:
         header.append(f"s_at_{t:g}")
     for t in horizons:
         header.extend(f"eta{l + 1}_at_{t:g}" for l in range(spec.n_groups))
-    writer.writerow(header)
-    for i in range(data.n):
-        x = data.covariates[i]
-        row = [repr(expected_survival_time(theta, spec, x).estimate)]
-        for t in horizons:
-            row.append(repr(survival(theta, spec, x, t)))
-        for t in horizons:
-            row.extend(repr(float(v)) for v in winning_probability(theta, spec, x, t))
-        writer.writerow(row)
-    formats.atomic_write_text(args.out, buffer.getvalue())
+    at_horizons = [_survival_and_winning(theta, spec, data.covariates, t) for t in horizons]
+    columns = np.column_stack(
+        [_expected_times(theta, spec, data.covariates)[0]]
+        + [s for s, _ in at_horizons]
+        + [eta for _, eta in at_horizons]
+    )
+    formats.write_csv(args.out, header, columns.tolist())
     log.info("wrote %s (%d subjects, %d horizons)", args.out, data.n, len(horizons))
     return EXIT_OK
 
@@ -223,15 +213,17 @@ def cmd_evaluate(args) -> int:
         else [float(t) for t in default_time_grid(data.times, data.status)]
     )
 
-    risk = risk_markers(theta, spec, data.covariates, mode=args.marker)
+    markers_by_horizon = {
+        t: risk_markers(theta, spec, data.covariates, mode="one_minus_survival", horizon=t)
+        for t in horizons
+    }
+    if args.marker == "one_minus_survival":
+        # The concordance marker is the failure probability by the middle
+        # evaluation horizon.
+        risk = markers_by_horizon[sorted(horizons)[len(horizons) // 2]]
+    else:
+        risk = risk_markers(theta, spec, data.covariates, mode=args.marker)
     c_index = concordance_index(risk, data.times, data.status)
-
-    def marker_at(t: float) -> np.ndarray:
-        return risk_markers(
-            theta, spec, data.covariates, mode="one_minus_survival", horizon=t
-        )
-
-    markers_by_horizon = {t: marker_at(t) for t in horizons}
     auc_by_horizon: dict[str, float] = {}
     skipped: dict[str, str] = {}
     curves = {}
@@ -248,8 +240,9 @@ def cmd_evaluate(args) -> int:
     if not curves:
         raise MetricError("every requested horizon was degenerate")
     if len(curves) >= 2:
-        iauc = integrated_auc(
-            lambda t: markers_by_horizon[t], data.times, data.status, grid=sorted(curves)
+        grid = sorted(curves)
+        iauc = _km_weighted_auc(
+            data.times, data.status, np.asarray(grid), [curves[t].auc for t in grid]
         )
     else:
         iauc = None
@@ -260,23 +253,11 @@ def cmd_evaluate(args) -> int:
         os.makedirs(args.rocdir, exist_ok=True)
         for t, curve in curves.items():
             base = os.path.join(args.rocdir, f"roc_{t:g}")
-            buffer = _io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["fpr", "tpr"])
-            for f, tp in zip(curve.fpr, curve.tpr):
-                writer.writerow([repr(float(f)), repr(float(tp))])
-            formats.atomic_write_text(base + ".csv", buffer.getvalue())
+            points = np.column_stack([curve.fpr, curve.tpr]).tolist()
+            formats.write_csv(base + ".csv", ["fpr", "tpr"], points)
             formats.atomic_write_text(
                 base + ".json",
-                formats.canonical_json(
-                    {
-                        "horizon": t,
-                        "auc": curve.auc,
-                        "points": [
-                            [float(f), float(tp)] for f, tp in zip(curve.fpr, curve.tpr)
-                        ],
-                    }
-                ),
+                formats.canonical_json({"horizon": t, "auc": curve.auc, "points": points}),
             )
 
     report = {
@@ -288,7 +269,10 @@ def cmd_evaluate(args) -> int:
         "skipped_horizons": skipped,
     }
     formats.atomic_write_text(args.out, formats.canonical_json(report))
-    log.info("wrote %s (c-index %.4f, iAUC %.4f)", args.out, c_index, iauc)
+    if iauc is None:
+        log.info("wrote %s (c-index %.4f)", args.out, c_index)
+    else:
+        log.info("wrote %s (c-index %.4f, iAUC %.4f)", args.out, c_index, iauc)
     return EXIT_OK
 
 

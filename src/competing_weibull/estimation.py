@@ -28,7 +28,14 @@ from .model import (
     Theta,
     EULER_GAMMA,
     parameter_names,
+    _group_designs,
+    _group_mu,
+    _hazards,
+    _log_total_hazard,
+    _mu_matrix,
+    _sigmas,
     _sorted_rowsum,
+    _winning,
 )
 
 __all__ = [
@@ -152,45 +159,19 @@ class _Workspace:
     """Per-fit cache: log times, event mask, per-group design matrices."""
 
     def __init__(self, spec: ModelSpec, data: Dataset):
-        self.spec = spec
-        self.data = data
         self.log_t = np.log(data.times)
         self.delta = data.status.astype(float)
-        self.columns = [list(g.covariate_indices) for g in spec.groups]
-        self.x_groups = [
-            data.covariates[:, cols] if cols else np.empty((data.n, 0))
-            for cols in self.columns
-        ]
+        self.x_groups = _group_designs(spec, data.covariates)
 
-    def mu_group(self, l: int, alpha: float, beta: np.ndarray) -> np.ndarray:
-        x = self.x_groups[l]
-        if not x.shape[1]:
-            return np.full(self.data.n, alpha)
-        return alpha + x @ beta
-
-    def mu_matrix(self, theta: Theta) -> np.ndarray:
-        return np.column_stack(
-            [self.mu_group(l, g.alpha, g.beta) for l, g in enumerate(theta.groups)]
-        )
-
-
-def _log_hazard_and_cumhaz(work: _Workspace, theta: Theta):
-    """(n, L) matrices of per-group log hazards and cumulative hazards."""
-    mu = work.mu_matrix(theta)
-    sigma = np.array([g.sigma for g in theta.groups])
-    z = (work.log_t[:, None] - mu) / sigma[None, :]
-    with np.errstate(over="ignore"):
-        cumhaz = np.exp(z)
-    log_haz = z - work.log_t[:, None] - np.log(sigma)[None, :]
-    return log_haz, cumhaz
+    def hazards(self, theta: Theta):
+        """(n, L) per-group log hazards and cumulative hazards at the data times."""
+        return _hazards(_mu_matrix(theta, self.x_groups), _sigmas(theta), self.log_t[:, None])
 
 
 def _loglik_terms(work: _Workspace, theta: Theta) -> np.ndarray:
     """Per-subject observed log-likelihood contributions."""
-    log_haz, cumhaz = _log_hazard_and_cumhaz(work, theta)
-    m = np.max(log_haz, axis=1)
-    log_total_haz = m + np.log(_sorted_rowsum(np.exp(log_haz - m[:, None])))
-    return work.delta * log_total_haz - _sorted_rowsum(cumhaz)
+    log_haz, cumhaz = work.hazards(theta)
+    return work.delta * _log_total_hazard(log_haz) - _sorted_rowsum(cumhaz)
 
 
 def _loglik_raw(work: _Workspace, theta: Theta) -> float:
@@ -199,11 +180,15 @@ def _loglik_raw(work: _Workspace, theta: Theta) -> float:
         return float(np.sum(_loglik_terms(work, theta)))
 
 
-def _penalty_value(theta: Theta, penalty: PenaltyConfig) -> float:
-    return sum(
-        penalty.lambda1 * math.exp(-g.alpha) + penalty.lambda2 * float(np.sum(np.abs(g.beta)))
-        for g in theta.groups
-    )
+def _penalized(q: float, alpha: float, beta: np.ndarray, penalty: PenaltyConfig) -> float:
+    """``q`` minus one group's penalties, always subtracted in this order."""
+    return q - penalty.lambda1 * math.exp(-alpha) - penalty.lambda2 * float(np.sum(np.abs(beta)))
+
+
+def _penalized_loglik(loglik: float, theta: Theta, penalty: PenaltyConfig) -> float:
+    # Adding the negated group penalties is bit-identical to subtracting
+    # their sum: IEEE rounding is symmetric under negation.
+    return loglik + sum(_penalized(0.0, g.alpha, g.beta, penalty) for g in theta.groups)
 
 
 def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
@@ -228,10 +213,8 @@ def e_step(theta: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     for inspection.
     """
     theta.validate_against(spec)
-    work = _Workspace(spec, data)
-    log_haz, _ = _log_hazard_and_cumhaz(work, theta)
-    shifted = np.exp(log_haz - np.max(log_haz, axis=1)[:, None])
-    return shifted / _sorted_rowsum(shifted)[:, None]
+    log_haz, _ = _Workspace(spec, data).hazards(theta)
+    return _winning(log_haz)
 
 
 def _q_group_values(
@@ -242,13 +225,11 @@ def _q_group_values(
     sigma: float,
     eta_l: np.ndarray,
 ):
-    mu = work.mu_group(l, alpha, beta)
-    z = (work.log_t - mu) / sigma
-    with np.errstate(over="ignore"):
-        cumhaz = np.exp(z)
+    """Q_l at (alpha, beta, sigma), plus the arrays its gradient reuses."""
+    mu = _group_mu(work.x_groups[l], alpha, beta)
+    log_haz, cumhaz = _hazards(mu, sigma, work.log_t)
     weight = work.delta * eta_l
-    q = float(weight @ (z - work.log_t - math.log(sigma)) - np.sum(cumhaz))
-    return q, mu, cumhaz, weight
+    return float(weight @ log_haz - np.sum(cumhaz)), (mu, cumhaz, weight)
 
 
 def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
@@ -261,8 +242,7 @@ def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
     eta = np.asarray(eta, dtype=float)
     work = _Workspace(spec, data)
     g = theta.groups[l]
-    q, _, _, _ = _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])
-    return q
+    return _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])[0]
 
 
 def q_function(theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
@@ -278,11 +258,7 @@ def penalized_q_group(
 ) -> float:
     """Group objective maximized in the M-step: Q_l minus its penalties."""
     g = theta.groups[l]
-    return (
-        q_group(l, theta, spec, data, eta)
-        - penalty.lambda1 * math.exp(-g.alpha)
-        - penalty.lambda2 * float(np.sum(np.abs(g.beta)))
-    )
+    return _penalized(q_group(l, theta, spec, data, eta), g.alpha, g.beta, penalty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,20 +278,14 @@ class QGroupGradients:
 
 
 def _smooth_gradients(
-    work: _Workspace,
-    l: int,
-    alpha: float,
-    beta: np.ndarray,
-    sigma: float,
-    eta_l: np.ndarray,
-    lambda1: float,
+    work: _Workspace, l: int, alpha: float, sigma: float, terms, lambda1: float
 ):
-    """Gradient of Q_l - lambda1 exp(-alpha) in (alpha, beta), plus dQ_l/dsigma."""
-    mu = work.mu_group(l, alpha, beta)
-    z = (work.log_t - mu) / sigma
-    with np.errstate(over="ignore"):
-        cumhaz = np.exp(z)
-    weight = work.delta * eta_l
+    """Gradient of Q_l - lambda1 exp(-alpha) in (alpha, beta), plus dQ_l/dsigma.
+
+    ``terms`` are the arrays :func:`_q_group_values` returned at the same
+    (alpha, beta, sigma).
+    """
+    mu, cumhaz, weight = terms
     resid = (cumhaz - weight) / sigma
     g_alpha = float(np.sum(resid)) + lambda1 * math.exp(-alpha)
     x = work.x_groups[l]
@@ -352,8 +322,9 @@ def q_gradients(
     if sigma < sigma_floor:
         sigma = sigma_floor
         clipped = True
+    _, terms = _q_group_values(work, l, g.alpha, g.beta, sigma, eta[:, l])
     g_alpha, g_beta, g_sigma = _smooth_gradients(
-        work, l, g.alpha, g.beta, sigma, eta[:, l], penalty.lambda1
+        work, l, g.alpha, sigma, terms, penalty.lambda1
     )
     g_beta = g_beta - penalty.lambda2 * np.sign(g.beta)
     return QGroupGradients(g_alpha, g_beta, g_sigma, sigma_clipped=clipped)
@@ -404,15 +375,6 @@ class _GroupState:
         self.stalled = False
 
 
-def _penalized_value(work, l, state, eta_l, penalty):
-    q, _, _, _ = _q_group_values(work, l, state.alpha, state.beta, state.sigma, eta_l)
-    return (
-        q
-        - penalty.lambda1 * math.exp(-state.alpha)
-        - penalty.lambda2 * float(np.sum(np.abs(state.beta)))
-    )
-
-
 def _update_group(
     work: _Workspace,
     l: int,
@@ -425,12 +387,19 @@ def _update_group(
     """One M-step for a single group, in place: proximal gradient ascent on
     (alpha, beta) followed by a bounded sigma search.  Never decreases the
     penalized group objective."""
-    current = _penalized_value(work, l, state, eta_l, penalty)
+
+    def objective(alpha: float, beta: np.ndarray):
+        q, terms = _q_group_values(work, l, alpha, beta, state.sigma, eta_l)
+        return _penalized(q, alpha, beta, penalty), terms
+
+    # Each gradient is taken where the objective was last evaluated, so it
+    # reuses that evaluation's arrays.
+    current, terms = objective(state.alpha, state.beta)
     state.stalled = False
 
     for _ in range(config.inner_iters):
         g_alpha, g_beta, _ = _smooth_gradients(
-            work, l, state.alpha, state.beta, state.sigma, eta_l, penalty.lambda1
+            work, l, state.alpha, state.sigma, terms, penalty.lambda1
         )
         if not (math.isfinite(g_alpha) and np.all(np.isfinite(g_beta))):
             state.stalled = True
@@ -442,14 +411,7 @@ def _update_group(
             beta_new = _soft_threshold(
                 state.beta + step * g_beta, step * penalty.lambda2
             )
-            q, _, _, _ = _q_group_values(
-                work, l, alpha_new, beta_new, state.sigma, eta_l
-            )
-            value = (
-                q
-                - penalty.lambda1 * math.exp(-alpha_new)
-                - penalty.lambda2 * float(np.sum(np.abs(beta_new)))
-            )
+            value, new_terms = objective(alpha_new, beta_new)
             if math.isfinite(value) and value >= current - 1e-12 * (1.0 + abs(current)):
                 accepted = True
                 break
@@ -465,16 +427,15 @@ def _update_group(
         state.alpha = alpha_new
         state.beta = beta_new
         state.step = min(step * 1.3, 1e6) if bt == 0 else step
-        current = value
+        current, terms = value, new_terms
         if moved < 1e-12 or (0 <= improved < 1e-14 * (1.0 + abs(current))):
             break
 
     # Sigma update: the penalties do not involve sigma, so maximize Q_l alone
     # with mu fixed.  Keep the old sigma unless the search improves on it.
     lo, hi = config.bracket()
-    mu = work.mu_group(l, state.alpha, state.beta)
+    mu, _, weight = terms
     d = work.log_t - mu
-    weight = work.delta * eta_l
     s_weight = float(np.sum(weight))
     s_weighted_d = float(np.sum(weight * d))
     const = -float(weight @ work.log_t)
@@ -582,7 +543,7 @@ def _run_em(
     ]
     theta = Theta([GroupParams(s.alpha, s.beta, s.sigma) for s in states])
     loglik_trace = [_loglik_raw(work, theta)]
-    penalized_trace = [loglik_trace[0] - _penalty_value(theta, penalty)]
+    penalized_trace = [_penalized_loglik(loglik_trace[0], theta, penalty)]
     warnings: list[str] = []
     converged = False
     n_iters = 0
@@ -599,7 +560,7 @@ def _run_em(
             [GroupParams(s.alpha, s.beta, s.sigma) for s in states]
         )
         loglik_trace.append(_loglik_raw(work, theta_new))
-        penalized_trace.append(loglik_trace[-1] - _penalty_value(theta_new, penalty))
+        penalized_trace.append(_penalized_loglik(loglik_trace[-1], theta_new, penalty))
         n_iters = m + 1
         delta_norm = float(
             np.linalg.norm(theta_new.flatten() - theta.flatten())

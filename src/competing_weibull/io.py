@@ -28,6 +28,7 @@ __all__ = [
     "FORMAT_VERSION",
     "atomic_write_text",
     "canonical_json",
+    "write_csv",
     "read_dataset_csv",
     "write_dataset_csv",
     "scenario_from_json",
@@ -58,6 +59,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write a CSV atomically with ``\n`` line ends.
+
+    Rows hold Python scalars (use ``ndarray.tolist()``): floats are written
+    with ``str``, which for a Python float is its shortest round-trip
+    ``repr``, so the values read back exactly.
+    """
+    buffer = _io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buffer.getvalue())
+
+
 def _require_keys(obj: dict, required: set[str], optional: set[str], what: str):
     keys = set(obj)
     missing = required - keys
@@ -84,15 +99,8 @@ def write_dataset_csv(path: str, data: Dataset, covariate_names: Sequence[str] |
         covariate_names = [f"x{j + 1}" for j in range(data.p)]
     if len(covariate_names) != data.p:
         raise SpecError("covariate_names length must match the covariate count")
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time", "status"] + list(covariate_names))
-    for i in range(data.n):
-        writer.writerow(
-            [repr(float(data.times[i])), int(data.status[i])]
-            + [repr(float(v)) for v in data.covariates[i]]
-        )
-    atomic_write_text(path, buffer.getvalue())
+    rows = zip(data.times.tolist(), data.status.tolist(), data.covariates.tolist())
+    write_csv(path, ["time", "status", *covariate_names], [[t, s, *x] for t, s, x in rows])
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:

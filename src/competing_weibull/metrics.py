@@ -14,12 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MetricError, SpecError
-from .model import (
-    ModelSpec,
-    Theta,
-    expected_survival_time,
-    survival,
-)
+from .model import ModelSpec, Theta, _expected_times, _survival_and_winning
 
 __all__ = [
     "StepSurvival",
@@ -246,28 +241,36 @@ def integrated_auc(
     if np.any(np.diff(grid_arr) <= 0):
         raise SpecError("the iAUC grid must be strictly increasing")
 
-    event_km = kaplan_meier(times, status)
-    cdf = 1.0 - event_km.evaluate(grid_arr)
-    previous = np.concatenate([[0.0], cdf[:-1]])
-    increments = cdf - previous
-
-    aucs = []
-    weights = []
-    for t_k, w_k in zip(grid_arr, increments):
+    aucs: list[float | None] = []
+    for t_k in grid_arr:
         try:
             curve = time_dependent_roc(marker_at(float(t_k)), times, status, float(t_k))
         except MetricError as exc:
             _warnings.warn(f"skipping horizon {t_k:g}: {exc}", stacklevel=2)
+            aucs.append(None)
             continue
         aucs.append(curve.auc)
-        weights.append(w_k)
-    if not aucs:
+    return _km_weighted_auc(times, status, grid_arr, aucs)
+
+
+def _km_weighted_auc(times, status, grid: np.ndarray, aucs) -> float:
+    """Average of per-horizon AUCs weighted by Kaplan-Meier event increments.
+
+    ``aucs[k]`` belongs to ``grid[k]``; None marks a skipped horizon, which
+    drops out together with its weight.  The weights are the event
+    distribution's increments between consecutive grid points, normalized
+    to sum to one (uniform when they sum to zero).
+    """
+    cdf = 1.0 - kaplan_meier(times, status).evaluate(grid)
+    increments = cdf - np.concatenate([[0.0], cdf[:-1]])
+    kept = [k for k, auc in enumerate(aucs) if auc is not None]
+    if not kept:
         raise MetricError("every horizon in the iAUC grid was degenerate")
-    weights_arr = np.asarray(weights)
-    if weights_arr.sum() <= 0:
-        weights_arr = np.ones_like(weights_arr)
-    weights_arr = weights_arr / weights_arr.sum()
-    return float(weights_arr @ np.asarray(aucs))
+    weights = increments[kept]
+    if weights.sum() <= 0:
+        weights = np.ones_like(weights)
+    weights = weights / weights.sum()
+    return float(weights @ np.asarray([aucs[k] for k in kept]))
 
 
 def risk_marker(
@@ -282,13 +285,7 @@ def risk_marker(
     ``neg_expected_time`` is minus the expected survival time;
     ``one_minus_survival`` is the failure probability by ``horizon``.
     """
-    if mode == "neg_expected_time":
-        return -expected_survival_time(theta, spec, x_row).estimate
-    if mode == "one_minus_survival":
-        if horizon is None:
-            raise SpecError("mode 'one_minus_survival' needs a horizon")
-        return 1.0 - survival(theta, spec, x_row, horizon)
-    raise SpecError(f"unknown risk marker mode {mode!r}")
+    return float(risk_markers(theta, spec, [x_row], mode=mode, horizon=horizon)[0])
 
 
 def risk_markers(
@@ -298,8 +295,11 @@ def risk_markers(
     mode: str = "neg_expected_time",
     horizon: float | None = None,
 ) -> np.ndarray:
-    """Vectorized :func:`risk_marker` over the rows of a covariate matrix."""
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    return np.array(
-        [risk_marker(theta, spec, row, mode=mode, horizon=horizon) for row in covariates]
-    )
+    """:func:`risk_marker` for every row of a covariate matrix, in one batch."""
+    if mode == "neg_expected_time":
+        return -_expected_times(theta, spec, covariates)[0]
+    if mode == "one_minus_survival":
+        if horizon is None:
+            raise SpecError("mode 'one_minus_survival' needs a horizon")
+        return 1.0 - _survival_and_winning(theta, spec, covariates, horizon)[0]
+    raise SpecError(f"unknown risk marker mode {mode!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigError, SpecError
 from .model import Dataset, GroupParams, GroupSpec, ModelSpec, Theta, sample_events
@@ -151,6 +150,9 @@ def calibrate_censoring_rate(true_times, target_rate: float) -> float:
         raise ConfigError(f"target censoring rate must lie in [0, 1), got {target_rate}")
     if target_rate == 0.0:
         return 0.0
+    # Imported here: scipy.optimize costs most of the package's import time,
+    # and only this root-finder needs it.
+    from scipy import optimize
 
     def expected_rate(rate: float) -> float:
         return float(np.mean(-np.expm1(-rate * true_times)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 import competing_weibull as cw
 from competing_weibull.cli import main
-from competing_weibull.io import canonical_json
+from competing_weibull.io import canonical_json, fit_from_json, read_dataset_csv
 
 
 def run(*argv):
@@ -229,13 +230,36 @@ class TestFitPredictEvaluate:
         assert run("evaluate", "--fit", fit, "--data", data, "--horizons", "1,2", "--out", report) == 0
         assert data.read_bytes() == before
 
-    def test_single_valid_horizon_skips_iauc(self, pipeline):
+    def test_single_valid_horizon_skips_iauc(self, pipeline, caplog):
         tmp, data, spec, fit = pipeline
         report = tmp / "report3.json"
+        # At info level the summary line must format without an iAUC.
+        caplog.set_level(logging.INFO, logger="competing_weibull")
         assert run("evaluate", "--fit", fit, "--data", data, "--horizons", "1", "--out", report) == 0
         payload = read_json(report)
         assert payload["iauc"] is None
         assert "iauc" in payload["skipped_horizons"]
+        assert any("c-index" in m and "iAUC" not in m for m in caplog.messages)
+
+    def test_survival_marker_uses_middle_horizon(self, pipeline):
+        tmp, data, spec, fit = pipeline
+        report = tmp / "report_survival.json"
+        assert (
+            run(
+                "evaluate", "--fit", fit, "--data", data, "--horizons", "2.5,1,2",
+                "--marker", "one_minus_survival", "--out", report,
+            )
+            == 0
+        )
+        payload = read_json(report)
+        assert payload["marker"] == "one_minus_survival"
+        assert 0.0 <= payload["c_index"] <= 1.0
+        dataset, _ = read_dataset_csv(str(data))
+        spec_obj, theta, _ = fit_from_json(read_json(fit))
+        marker = cw.risk_markers(
+            theta, spec_obj, dataset.covariates, mode="one_minus_survival", horizon=2.0
+        )
+        assert payload["c_index"] == cw.concordance_index(marker, dataset.times, dataset.status)
 
 
 class TestExponentialPredictions:

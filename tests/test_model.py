@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import competing_weibull as cw
-from competing_weibull.model import tail_integral_bounds
+from competing_weibull.model import (
+    _expected_times,
+    _hazards,
+    _mu_rows,
+    _survival_and_winning,
+    tail_integral_bounds,
+)
 
 
 def random_theta(rng, spec):
@@ -362,3 +368,76 @@ class TestExpectedSurvivalTime:
         cutoff = cw.auto_cutoff(theta, spec, [], 1e-6)
         assert cw.survival(theta, spec, [], cutoff) <= 1e-6
         assert cw.survival(theta, spec, [], cutoff * 0.99) > 1e-6
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_single_group_closed_form_grid(self, sigma):
+        # E[T] = e^mu Gamma(1 + sigma), and the part below the cutoff is
+        # e^mu Gamma(1 + sigma) P(sigma, H(cutoff)) with P the regularized
+        # lower incomplete gamma function.  The S/h tail term is what limits
+        # the estimate: within rel 1e-6 up to sigma = 1.5 (its error reaches
+        # 1e-6 at sigma = 2 and 5e-4 at sigma = 5), and inside the Mill's-ratio
+        # sandwich everywhere.  Small sigma once overflowed to NaN.
+        from scipy import special
+
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        for mu in (-10.0, -5.0, -3.0, 0.0, 2.0, 5.0):
+            result = cw.expected_survival_time(cw.Theta([cw.GroupParams(mu, [], sigma)]), spec, [])
+            exact = math.exp(mu) * math.gamma(1.0 + sigma)
+            reached = (result.cutoff / math.exp(mu)) ** (1.0 / sigma)
+            finite = exact * float(special.gammainc(sigma, reached))
+            assert result.finite_part == pytest.approx(finite, rel=1e-12)
+            assert result.tail_lower <= exact - finite <= result.tail_upper
+            if sigma <= 1.5:
+                assert result.estimate == pytest.approx(exact, rel=1e-6)
+
+    def test_tolerance_against_closed_form_and_log_trapezoid(self, mixed_pair):
+        # The stated tolerance of expected_survival_time: rel 1e-6 on the
+        # estimate against closed forms, and on the finite part against a
+        # fine trapezoid oracle (in u = log t, where the integrand is smooth).
+        spec, theta = mixed_pair
+        exact = math.exp(0.25) * (math.sqrt(math.pi) / 2.0) * math.erfc(0.5)
+        assert cw.expected_survival_time(theta, spec, []).estimate == pytest.approx(
+            exact, rel=1e-6
+        )
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            L = int(rng.integers(1, 4))
+            spec = cw.ModelSpec([cw.GroupSpec([])] * L, p=0)
+            theta = cw.Theta(
+                [cw.GroupParams(rng.normal(0.5, 1.0), [], rng.uniform(0.4, 2.0)) for _ in range(L)]
+            )
+            result = cw.expected_survival_time(theta, spec, [])
+            u = np.linspace(math.log(result.cutoff) - 40.0, math.log(result.cutoff), 400_001)
+            log_s = -sum(np.exp((u - g.alpha) / g.sigma) for g in theta.groups)
+            oracle = float(np.trapezoid(np.exp(u + log_s), u))
+            assert result.finite_part == pytest.approx(oracle, rel=1e-6)
+
+
+class TestBatchedRowsMatchScalarViews:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), t=st.floats(0.05, 20.0))
+    def test_row_i_equals_scalar_function(self, seed, n, t):
+        rng = np.random.default_rng(seed)
+        p = 3
+        spec = cw.ModelSpec(
+            [cw.GroupSpec(sorted(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False)))
+             for _ in range(int(rng.integers(1, 4)))],
+            p=p,
+        )
+        theta = random_theta(rng, spec)
+        x = rng.standard_normal((n, p))
+        s, eta = _survival_and_winning(theta, spec, x, t)
+        sigma = np.array([g.sigma for g in theta.groups])
+        log_haz, _ = _hazards(_mu_rows(theta, spec, x), sigma, np.log(t))
+        expected = _expected_times(theta, spec, x)[0]
+        # Row i and a 1-row matrix may differ in the last bits of the linear
+        # predictor (matrix-vector products), hence the 1e-12.
+        for i in range(n):
+            assert s[i] == pytest.approx(cw.survival(theta, spec, x[i], t), rel=1e-12)
+            assert np.exp(log_haz[i]) == pytest.approx(
+                cw.hazard_by_group(theta, spec, x[i], t), rel=1e-12
+            )
+            assert eta[i] == pytest.approx(cw.winning_probability(theta, spec, x[i], t), rel=1e-12)
+            assert expected[i] == pytest.approx(
+                cw.expected_survival_time(theta, spec, x[i]).estimate, rel=1e-12
+            )
