@@ -10,6 +10,10 @@ golden-section search over sigma.  The fitting convention throughout is to maxim
     Q_l(theta) - lambda1 * exp(-alpha_l) - lambda2 * ||beta_l||_1
 
 per group, i.e. the penalized expected complete log-likelihood.
+
+Each EM iteration evaluates the model once; standard errors differentiate
+the analytic score, which by Fisher's identity is the gradient of Q with eta
+held at the winning probabilities of theta itself.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ class PenaltyConfig:
             raise SpecError("penalty weights must be nonnegative")
 
 
+_INNER_ITERS = 40  # proximal (alpha, beta) steps per group update
+_MAX_BACKTRACKS = 40  # step halvings before a group update stalls
+_SIGMA_MAX = 10.0  # upper end of the sigma search; sigma_floor is the lower
+_JITTER_SCALE = 0.1  # noise scale of the alpha/beta jitter of extra starts
+_SE_REL_STEP = 1e-5  # score-Jacobian step for theta_j, times 1 + |theta_j|
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """EM controls.
@@ -81,43 +92,27 @@ class FitConfig:
     ``epsilon`` is the stopping tolerance on the Euclidean norm of the
     parameter change between EM iterations (1e-6 suits simulation-scale fits;
     1e-3 is enough for large noisy data).  ``sigma_floor`` keeps every noise
-    scale bounded away from zero; ``sigma_bracket`` is the search interval of
-    the one-dimensional sigma maximization and defaults to
-    ``(sigma_floor, 10)``.  ``n_starts > 1`` enables multi-start: additional
-    starts jitter alpha and beta with Gaussian noise of scale
-    ``jitter_scale`` (seeded by ``seed``), and the start with the best final
-    penalized objective wins.
+    scale bounded away from zero and is the lower end of the sigma search,
+    whose upper end is 10.  ``n_starts > 1`` enables multi-start: additional
+    starts jitter alpha and beta with Gaussian noise of scale 0.1 (seeded by
+    ``seed``), and the start with the best final penalized objective wins.
+    ``compute_std_errors`` runs :func:`standard_errors` on the winner.
     """
 
     epsilon: float = 1e-6
     max_em_iters: int = 2000
     sigma_floor: float = 0.01
-    inner_step_size: float | None = None
-    inner_iters: int = 40
-    sigma_bracket: tuple[float, float] | None = None
     n_starts: int = 1
-    jitter_scale: float = 0.1
     seed: int = 0
     compute_std_errors: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise SpecError("epsilon must be positive")
-        if self.max_em_iters < 1 or self.inner_iters < 1 or self.n_starts < 1:
+        if self.max_em_iters < 1 or self.n_starts < 1:
             raise SpecError("iteration counts must be positive")
         if self.sigma_floor <= 0:
             raise SpecError("sigma_floor must be positive")
-        if self.inner_step_size is not None and self.inner_step_size <= 0:
-            raise SpecError("inner_step_size must be positive")
-        if self.sigma_bracket is not None:
-            lo, hi = self.sigma_bracket
-            if lo < self.sigma_floor or hi <= lo:
-                raise SpecError(
-                    "sigma_bracket must satisfy sigma_floor <= lower < upper"
-                )
-
-    def bracket(self) -> tuple[float, float]:
-        return self.sigma_bracket or (self.sigma_floor, 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +163,20 @@ class _Workspace:
         return _hazards(_mu_matrix(theta, self.x_groups), _sigmas(theta), self.log_t[:, None])
 
 
-def _loglik_terms(work: _Workspace, theta: Theta) -> np.ndarray:
-    """Per-subject observed log-likelihood contributions."""
-    log_haz, cumhaz = work.hazards(theta)
+def _loglik_terms(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
+    """Per-subject observed log-likelihood contributions from the kernel arrays."""
     return work.delta * _log_total_hazard(log_haz) - _sorted_rowsum(cumhaz)
 
 
-def _loglik_raw(work: _Workspace, theta: Theta) -> float:
-    """Observed log-likelihood; may be -inf for extreme parameters."""
+def _loglik(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> float:
+    """Sum of :func:`_loglik_terms`, quiet when it is not finite."""
     with np.errstate(invalid="ignore"):
-        return float(np.sum(_loglik_terms(work, theta)))
+        return float(np.sum(_loglik_terms(work, log_haz, cumhaz)))
+
+
+def _loglik_raw(work: _Workspace, theta: Theta) -> float:
+    """Observed log-likelihood at theta; may be -inf for extreme parameters."""
+    return _loglik(work, *work.hazards(theta))
 
 
 def _penalized(q: float, alpha: float, beta: np.ndarray, penalty: PenaltyConfig) -> float:
@@ -195,7 +194,7 @@ def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
     """Observed log-likelihood: sum of delta*log h(T) + log S(T) over subjects."""
     theta.validate_against(spec)
     work = _Workspace(spec, data)
-    terms = _loglik_terms(work, theta)
+    terms = _loglik_terms(work, *work.hazards(theta))
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise NumericError(
@@ -229,7 +228,12 @@ def _q_group_values(
     mu = _group_mu(work.x_groups[l], alpha, beta)
     log_haz, cumhaz = _hazards(mu, sigma, work.log_t)
     weight = work.delta * eta_l
-    return float(weight @ log_haz - np.sum(cumhaz)), (mu, cumhaz, weight)
+    # np.sum of the products, not a BLAS dot: a threaded dot splits its sum
+    # by the thread count, and fits must not depend on it.  A zero weight
+    # against an infinite log hazard gives nan, quietly, as the dot did.
+    with np.errstate(invalid="ignore"):
+        q = float(np.sum(weight * log_haz) - np.sum(cumhaz))
+    return q, (mu, cumhaz, weight)
 
 
 def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
@@ -286,13 +290,16 @@ def _smooth_gradients(
     (alpha, beta, sigma).
     """
     mu, cumhaz, weight = terms
-    resid = (cumhaz - weight) / sigma
-    g_alpha = float(np.sum(resid)) + lambda1 * math.exp(-alpha)
     x = work.x_groups[l]
-    g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
-    g_sigma = float(
-        np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
-    ) / sigma**2
+    # Far from the data the gradient overflows; callers treat a non-finite
+    # gradient as a stalled step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (cumhaz - weight) / sigma
+        g_alpha = float(np.sum(resid)) + lambda1 * math.exp(-alpha)
+        g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
+        g_sigma = float(
+            np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
+        ) / sigma**2
     return g_alpha, g_beta, g_sigma
 
 
@@ -330,6 +337,19 @@ def q_gradients(
     return QGroupGradients(g_alpha, g_beta, g_sigma, sigma_clipped=clipped)
 
 
+def _score(work: _Workspace, theta: Theta) -> np.ndarray:
+    """Gradient of the observed log-likelihood in the ``Theta.flatten`` layout:
+    the unpenalized gradient of Q with eta held at ``e_step(theta)``."""
+    log_haz, cumhaz = work.hazards(theta)
+    weight = work.delta[:, None] * _winning(log_haz)
+    parts = []
+    for l, g in enumerate(theta.groups):
+        terms = (_group_mu(work.x_groups[l], g.alpha, g.beta), cumhaz[:, l], weight[:, l])
+        g_alpha, g_beta, g_sigma = _smooth_gradients(work, l, g.alpha, g.sigma, terms, 0.0)
+        parts += [[g_alpha], g_beta, [g_sigma]]
+    return np.concatenate(parts)
+
+
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
@@ -365,14 +385,19 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
 
 
 class _GroupState:
-    """Mutable per-group optimizer state carried across EM iterations."""
+    """Mutable per-group optimizer state carried across EM iterations; the
+    proximal step size starts at 1/n."""
 
-    def __init__(self, alpha: float, beta: np.ndarray, sigma: float, step: float):
-        self.alpha = alpha
-        self.beta = np.array(beta, dtype=float)
-        self.sigma = sigma
-        self.step = step
+    def __init__(self, g: GroupParams, sigma_floor: float, n: int):
+        self.alpha = g.alpha
+        self.beta = np.array(g.beta, dtype=float)
+        self.sigma = max(g.sigma, sigma_floor)
+        self.step = 1.0 / n
         self.stalled = False
+
+
+def _theta_of(states: Sequence[_GroupState]) -> Theta:
+    return Theta([GroupParams(s.alpha, s.beta, s.sigma) for s in states])
 
 
 def _update_group(
@@ -381,8 +406,7 @@ def _update_group(
     state: _GroupState,
     eta_l: np.ndarray,
     penalty: PenaltyConfig,
-    config: FitConfig,
-    max_backtracks: int = 40,
+    sigma_floor: float,
 ) -> None:
     """One M-step for a single group, in place: proximal gradient ascent on
     (alpha, beta) followed by a bounded sigma search.  Never decreases the
@@ -397,7 +421,7 @@ def _update_group(
     current, terms = objective(state.alpha, state.beta)
     state.stalled = False
 
-    for _ in range(config.inner_iters):
+    for _ in range(_INNER_ITERS):
         g_alpha, g_beta, _ = _smooth_gradients(
             work, l, state.alpha, state.sigma, terms, penalty.lambda1
         )
@@ -406,7 +430,7 @@ def _update_group(
             break
         step = state.step
         accepted = False
-        for bt in range(max_backtracks):
+        for bt in range(_MAX_BACKTRACKS):
             alpha_new = state.alpha + step * g_alpha
             beta_new = _soft_threshold(
                 state.beta + step * g_beta, step * penalty.lambda2
@@ -433,12 +457,11 @@ def _update_group(
 
     # Sigma update: the penalties do not involve sigma, so maximize Q_l alone
     # with mu fixed.  Keep the old sigma unless the search improves on it.
-    lo, hi = config.bracket()
     mu, _, weight = terms
     d = work.log_t - mu
     s_weight = float(np.sum(weight))
     s_weighted_d = float(np.sum(weight * d))
-    const = -float(weight @ work.log_t)
+    const = -float(np.sum(weight * work.log_t))
 
     def q_of_sigma(sigma: float) -> float:
         with np.errstate(over="ignore"):
@@ -448,13 +471,21 @@ def _update_group(
         )
 
     q_old = q_of_sigma(state.sigma)
-    sigma_new, q_new = _golden_section_max(q_of_sigma, lo, hi, tol=1e-8)
+    sigma_new, q_new = _golden_section_max(q_of_sigma, sigma_floor, _SIGMA_MAX, tol=1e-8)
     if math.isfinite(q_new) and q_new > q_old:
         state.sigma = sigma_new
 
 
-def _default_step(config: FitConfig, n: int) -> float:
-    return config.inner_step_size if config.inner_step_size is not None else 1.0 / n
+def _m_step(
+    work: _Workspace,
+    states: Sequence[_GroupState],
+    eta: np.ndarray,
+    penalty: PenaltyConfig,
+    sigma_floor: float,
+) -> None:
+    """Update every group in place given eta."""
+    for l, state in enumerate(states):
+        _update_group(work, l, state, eta[:, l], penalty, sigma_floor)
 
 
 def m_step(
@@ -472,15 +503,10 @@ def m_step(
     unchanged.
     """
     theta.validate_against(spec)
+    states = [_GroupState(g, config.sigma_floor, data.n) for g in theta.groups]
     eta = np.asarray(eta, dtype=float)
-    work = _Workspace(spec, data)
-    step = _default_step(config, data.n)
-    out = theta
-    for l, g in enumerate(theta.groups):
-        state = _GroupState(g.alpha, g.beta, max(g.sigma, config.sigma_floor), step)
-        _update_group(work, l, state, eta[:, l], penalty, config)
-        out = out.with_group(l, GroupParams(state.alpha, state.beta, state.sigma))
-    return out
+    _m_step(_Workspace(spec, data), states, eta, penalty, config.sigma_floor)
+    return _theta_of(states)
 
 
 # ---------------------------------------------------------------------------
@@ -515,71 +541,54 @@ def initialize_theta(spec: ModelSpec, data: Dataset) -> Theta:
     return Theta(groups)
 
 
-def _jittered(theta: Theta, rng: np.random.Generator, scale: float) -> Theta:
-    groups = []
-    for g in theta.groups:
-        groups.append(
-            GroupParams(
-                g.alpha + scale * rng.standard_normal(),
-                g.beta + scale * rng.standard_normal(g.beta.shape[0]),
-                g.sigma,
-            )
+def _jittered(theta: Theta, rng: np.random.Generator) -> Theta:
+    return Theta([
+        GroupParams(
+            g.alpha + _JITTER_SCALE * rng.standard_normal(),
+            g.beta + _JITTER_SCALE * rng.standard_normal(g.beta.shape[0]),
+            g.sigma,
         )
-    return Theta(groups)
+        for g in theta.groups
+    ])
 
 
 def _run_em(
-    spec: ModelSpec,
-    data: Dataset,
-    penalty: PenaltyConfig,
-    config: FitConfig,
-    theta: Theta,
+    work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta
 ) -> FitResult:
-    work = _Workspace(spec, data)
-    step = _default_step(config, data.n)
-    states = [
-        _GroupState(g.alpha, g.beta, max(g.sigma, config.sigma_floor), step)
-        for g in theta.groups
-    ]
-    theta = Theta([GroupParams(s.alpha, s.beta, s.sigma) for s in states])
-    loglik_trace = [_loglik_raw(work, theta)]
+    states = [_GroupState(g, config.sigma_floor, work.delta.size) for g in theta.groups]
+    theta = _theta_of(states)
+    # One kernel evaluation per iteration: it gives the trace entry of theta
+    # and the E-step from theta.
+    log_haz, cumhaz = work.hazards(theta)
+    loglik_trace = [_loglik(work, log_haz, cumhaz)]
     penalized_trace = [_penalized_loglik(loglik_trace[0], theta, penalty)]
     warnings: list[str] = []
-    converged = False
-    n_iters = 0
 
     for m in range(config.max_em_iters):
-        eta = e_step(theta, spec, data)
-        for l, state in enumerate(states):
-            _update_group(work, l, state, eta[:, l], penalty, config)
-            if state.stalled:
-                warnings.append(
-                    f"iteration {m}: group {l} line search stalled; parameters kept"
-                )
-        theta_new = Theta(
-            [GroupParams(s.alpha, s.beta, s.sigma) for s in states]
+        _m_step(work, states, _winning(log_haz), penalty, config.sigma_floor)
+        warnings.extend(
+            f"iteration {m}: group {l} line search stalled; parameters kept"
+            for l, state in enumerate(states)
+            if state.stalled
         )
-        loglik_trace.append(_loglik_raw(work, theta_new))
+        theta_new = _theta_of(states)
+        log_haz, cumhaz = work.hazards(theta_new)
+        loglik_trace.append(_loglik(work, log_haz, cumhaz))
         penalized_trace.append(_penalized_loglik(loglik_trace[-1], theta_new, penalty))
-        n_iters = m + 1
-        delta_norm = float(
-            np.linalg.norm(theta_new.flatten() - theta.flatten())
-        )
+        delta_norm = float(np.linalg.norm(theta_new.flatten() - theta.flatten()))
         theta = theta_new
         if delta_norm < config.epsilon:
-            converged = True
             break
 
-    eta_hat = e_step(theta, spec, data)
     return FitResult(
         theta_hat=theta,
         std_errors=None,
-        winning_probs=eta_hat,
-        censored_rows=data.status == 0,
+        winning_probs=_winning(log_haz),
+        censored_rows=work.delta == 0,
         loglik_trace=np.asarray(loglik_trace),
         penalized_trace=np.asarray(penalized_trace),
-        converged=converged,
-        n_iters=n_iters,
+        converged=delta_norm < config.epsilon,
+        n_iters=len(loglik_trace) - 1,
         warnings=tuple(warnings),
     )
 
@@ -613,11 +622,12 @@ def fit_em(
         starts = [base]
         for k in range(1, config.n_starts):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
-            starts.append(_jittered(base, rng, config.jitter_scale))
+            starts.append(_jittered(base, rng))
 
+    work = _Workspace(spec, data)
     best: FitResult | None = None
     for start in starts:
-        result = _run_em(spec, data, penalty, config, start)
+        result = _run_em(work, penalty, config, start)
         if best is None or result.final_penalized > best.final_penalized:
             best = result
 
@@ -636,44 +646,32 @@ def fit_em(
 # ---------------------------------------------------------------------------
 
 
-def standard_errors(
-    theta_hat: Theta, spec: ModelSpec, data: Dataset, rel_step: float = 1e-5
-) -> np.ndarray:
+def standard_errors(theta_hat: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     """Inverse-observed-information standard errors at the fitted parameters.
 
-    The observed information is the negative numerical Hessian (central
-    differences with per-coordinate step ``rel_step * (1 + |theta_j|)``) of
-    the unpenalized log-likelihood.  Raises :class:`SingularHessianError`
-    naming the near-null directions when the information is not positive
-    definite, which typically signals an eliminated or duplicated group.
+    The observed information is minus the symmetrized central-difference
+    Jacobian (step ``1e-5 * (1 + |theta_j|)``, 2d evaluations for d
+    parameters) of the analytic score of the unpenalized log-likelihood.
+    Raises :class:`SingularHessianError` naming the near-null directions when
+    it is not positive definite, which typically signals an eliminated or
+    duplicated group, and :class:`NumericError` when an entry is not finite.
     """
     theta_hat.validate_against(spec)
     work = _Workspace(spec, data)
     x0 = theta_hat.flatten()
     d = x0.shape[0]
-    steps = rel_step * (1.0 + np.abs(x0))
-
-    def f(vec: np.ndarray) -> float:
-        return _loglik_raw(work, Theta.from_flat(vec, spec))
-
-    f0 = f(x0)
-    if not math.isfinite(f0):
-        raise NumericError("log-likelihood is not finite at theta_hat")
-    hess = np.empty((d, d))
+    jac = np.empty((d, d))
     for j in range(d):
-        ej = np.zeros(d)
-        ej[j] = steps[j]
-        hess[j, j] = (f(x0 + ej) - 2.0 * f0 + f(x0 - ej)) / steps[j] ** 2
-        for k in range(j + 1, d):
-            ek = np.zeros(d)
-            ek[k] = steps[k]
-            hess[j, k] = hess[k, j] = (
-                f(x0 + ej + ek) - f(x0 + ej - ek) - f(x0 - ej + ek) + f(x0 - ej - ek)
-            ) / (4.0 * steps[j] * steps[k])
-    if not np.all(np.isfinite(hess)):
-        raise NumericError("non-finite entries in the numerical Hessian")
+        step = np.zeros(d)
+        step[j] = _SE_REL_STEP * (1.0 + abs(x0[j]))
+        jac[:, j] = (
+            _score(work, Theta.from_flat(x0 + step, spec))
+            - _score(work, Theta.from_flat(x0 - step, spec))
+        ) / (2.0 * step[j])
+    if not np.all(np.isfinite(jac)):
+        raise NumericError("non-finite entries in the observed information")
 
-    info = -hess
+    info = -0.5 * (jac + jac.T)
     eigvals, eigvecs = np.linalg.eigh(info)
     scale = float(np.max(np.abs(eigvals))) if d else 0.0
     tol = 1e-10 * max(scale, 1.0)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import competing_weibull as cw
 from competing_weibull.estimation import (
     _Workspace,
     _loglik_raw,
+    _score,
     penalized_q_group,
 )
 from conftest import random_instance
@@ -247,6 +253,27 @@ class TestQGradients:
         assert beta[0] != 0.0
 
 
+class TestScore:
+    def test_matches_central_differences_of_loglik(self):
+        rng = np.random.default_rng(29)
+        worst = 0.0
+        for _ in range(20):
+            spec, truth, data = random_instance(rng, n=200)
+            work = _Workspace(spec, data)
+            x0 = truth.flatten() + rng.normal(0.0, 0.1, truth.n_params)
+            analytic = _score(work, cw.Theta.from_flat(x0, spec))
+            fd = np.empty_like(x0)
+            for j in range(x0.shape[0]):
+                step = np.zeros_like(x0)
+                step[j] = 1e-6 * (1.0 + abs(x0[j]))
+                fd[j] = (
+                    _loglik_raw(work, cw.Theta.from_flat(x0 + step, spec))
+                    - _loglik_raw(work, cw.Theta.from_flat(x0 - step, spec))
+                ) / (2 * step[j])
+            worst = max(worst, np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)))
+        assert worst < 1e-6
+
+
 class TestMStep:
     def test_near_stationary_at_truth_large_n(self):
         # One EM map application from the truth moves by at most the
@@ -416,6 +443,56 @@ class TestFitEM:
         assert np.allclose(fit.winning_probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.max(np.abs(fit.theta_hat.flatten() - truth.flatten())) < 0.6
 
+    def test_one_iteration_is_e_step_then_m_step(self):
+        rng = np.random.default_rng(47)
+        spec, truth, data = random_instance(rng, n=150, L=3)
+        penalty = cw.PenaltyConfig(0.3, 0.1)
+        config = cw.FitConfig(max_em_iters=1, compute_std_errors=False)
+        start = cw.initialize_theta(spec, data)
+        fit = cw.fit_em(spec, data, penalty, config, theta_init=start)
+        updated = cw.m_step(start, spec, data, cw.e_step(start, spec, data), penalty, config)
+        assert np.array_equal(fit.theta_hat.flatten(), updated.flatten())
+        assert np.array_equal(fit.winning_probs, cw.e_step(updated, spec, data))
+        assert fit.final_loglik == cw.log_likelihood(updated, spec, data)
+
+    def test_overflowing_gradient_stalls_without_runtime_warnings(self):
+        rng = np.random.default_rng(1)
+        spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([1])], p=2)
+        truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(1.3, [0.5], 1.2)])
+        x = rng.standard_normal((300, 2))
+        times, _ = cw.sample_events(truth, spec, x, rng)
+        data = cw.Dataset(times, np.ones(300, dtype=int), x)
+        start = cw.Theta([cw.GroupParams(-8.0, [0.9], 0.01), cw.GroupParams(1.3, [0.5], 1.2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = cw.fit_em(spec, data, theta_init=start)
+        assert any("stalled" in w for w in fit.warnings)
+
+    def test_fit_does_not_depend_on_blas_threads(self):
+        # Example 2 at n = 12000: a threaded BLAS dot in the M-step made the
+        # tenth iteration differ between one and two threads.
+        script = (
+            "import competing_weibull as cw\n"
+            "from competing_weibull.simulation import ScenarioSpec\n"
+            "base = cw.builtin_scenario(2, 0.2)\n"
+            "scen = ScenarioSpec(base.model, base.truth, 12000, base.target_censoring, 4)\n"
+            "fit = cw.fit_em(scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, 1.0),\n"
+            "    cw.FitConfig(max_em_iters=10, compute_std_errors=False))\n"
+            "for a in (fit.theta_hat.flatten(), fit.loglik_trace, fit.penalized_trace):\n"
+            "    print(a.tobytes().hex())\n"
+        )
+        src = str(Path(cw.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_multi_start_is_deterministic(self):
         rng = np.random.default_rng(77)
         spec, truth, data = random_instance(rng, n=100)
@@ -464,6 +541,32 @@ class TestStandardErrors:
         assert np.all(ratio_mc > 1 / 1.5) and np.all(ratio_mc < 1.5)
         ratio_reported = se / reported
         assert np.all(ratio_reported < 2.5) and np.all(ratio_reported > 1 / 2.5)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    def test_single_group_matches_closed_form_information(self, sigma):
+        # Intercept-only Weibull with censoring: with z = (log t - alpha)/sigma
+        # and D events, l = sum delta (z - log t - log sigma) - sum e^z.
+        rng = np.random.default_rng(5)
+        n, alpha = 2000, 0.7
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        theta = cw.Theta([cw.GroupParams(alpha, [], sigma)])
+        times, _ = cw.sample_events(theta, spec, np.zeros((n, 0)), rng)
+        observed, status, _ = cw.apply_censoring(times, 0.25, rng)
+        data = cw.Dataset(observed, status, np.zeros((n, 0)))
+
+        z = (np.log(observed) - alpha) / sigma
+        e, d = np.exp(z), status.astype(float)
+        info = np.array(
+            [
+                [e.sum(), (e * z).sum() + e.sum() - d.sum()],
+                [
+                    (e * z).sum() + e.sum() - d.sum(),
+                    (e * z * z).sum() + 2 * (e * z).sum() - 2 * (d * z).sum() - d.sum(),
+                ],
+            ]
+        ) / sigma**2
+        expected = np.sqrt(np.diag(np.linalg.inv(info)))
+        assert cw.standard_errors(theta, spec, data) == pytest.approx(expected, rel=1e-7)
 
     def test_singular_information_names_directions(self):
         # A constant-zero covariate column leaves its coefficient
