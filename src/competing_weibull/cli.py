@@ -160,7 +160,7 @@ def cmd_fit(args) -> int:
     formats.write_csv(eta_path, header, [eta + [int(c)] for eta, c in rows])
 
     if not result.converged:
-        log.warning("EM did not converge within %d iterations", result.n_iters)
+        log.warning("EM did not converge within %d EM maps", result.n_iters)
     log.info("wrote %s and %s (loglik %.6f)", args.out, eta_path, result.final_loglik)
     return EXIT_OK
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--lambda1", type=float, default=0.0, help="intercept penalty weight")
     fit.add_argument("--lambda2", type=float, default=0.0, help="coefficient lasso weight")
     fit.add_argument("--epsilon", type=float, default=1e-6, help="EM stopping tolerance")
-    fit.add_argument("--max-iters", type=int, default=2000, help="EM iteration budget")
+    fit.add_argument("--max-iters", type=int, default=2000, help="EM budget, in EM maps (SQUAREM extrapolations not counted)")
     fit.add_argument("--sigma-floor", type=float, default=0.01, help="lower bound on sigma")
     fit.add_argument("--starts", type=int, default=1, help="number of multi-start runs")
     fit.add_argument("--seed", type=int, default=0, help="seed for multi-start jitter")

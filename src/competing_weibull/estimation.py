@@ -11,9 +11,12 @@ golden-section search over sigma.  The fitting convention throughout is to maxim
 
 per group, i.e. the penalized expected complete log-likelihood.
 
-Each EM iteration evaluates the model once; standard errors differentiate
-the analytic score, which by Fisher's identity is the gradient of Q with eta
-held at the winning probabilities of theta itself.
+The outer loop is SQUAREM (Varadhan & Roland 2008) with the S3 step length:
+two EM maps, an extrapolated point that is kept only when it does not lower
+the penalized objective, then one more map from it, so every returned point
+is an M-step output.  Each EM map evaluates the model once; standard errors
+differentiate the analytic score, which by Fisher's identity is the gradient
+of Q with eta held at the winning probabilities of theta itself.
 """
 
 from __future__ import annotations
@@ -90,10 +93,12 @@ class FitConfig:
     """EM controls.
 
     ``epsilon`` is the stopping tolerance on the Euclidean norm of the
-    parameter change between EM iterations (1e-6 suits simulation-scale fits;
-    1e-3 is enough for large noisy data).  ``sigma_floor`` keeps every noise
-    scale bounded away from zero and is the lower end of the sigma search,
-    whose upper end is 10.  ``n_starts > 1`` enables multi-start: additional
+    parameter change made by one EM map (1e-6 suits simulation-scale fits;
+    1e-3 is enough for large noisy data).  ``max_em_iters`` caps the number
+    of EM maps (one E-step plus one M-step each); the SQUAREM extrapolations
+    between them are not counted.  ``sigma_floor`` keeps every noise scale
+    bounded away from zero and is the lower end of the sigma search, whose
+    upper end is 10.  ``n_starts > 1`` enables multi-start: additional
     starts jitter alpha and beta with Gaussian noise of scale 0.1 (seeded by
     ``seed``), and the start with the best final penalized objective wins.
     ``compute_std_errors`` runs :func:`standard_errors` on the winner.
@@ -124,6 +129,9 @@ class FitResult:
     censoring time rather than an event time.  ``std_errors`` follows the
     flattened parameter layout of :meth:`Theta.flatten` and is None when the
     observed information could not be inverted (see ``warnings``).
+    ``n_iters`` counts EM maps; the traces hold the start and then one entry
+    per map output, never an extrapolated point.  ``converged`` means the
+    last map moved theta by less than ``epsilon``.
     """
 
     theta_hat: Theta
@@ -154,6 +162,7 @@ class _Workspace:
     """Per-fit cache: log times, event mask, per-group design matrices."""
 
     def __init__(self, spec: ModelSpec, data: Dataset):
+        self.spec = spec
         self.log_t = np.log(data.times)
         self.delta = data.status.astype(float)
         self.x_groups = _group_designs(spec, data.covariates)
@@ -179,15 +188,30 @@ def _loglik_raw(work: _Workspace, theta: Theta) -> float:
     return _loglik(work, *work.hazards(theta))
 
 
+def _intercept_penalty(alpha: float, lambda1: float) -> float:
+    """``lambda1 * exp(-alpha)``: exactly 0 when lambda1 is, whatever alpha,
+    and inf when the exponential overflows."""
+    if lambda1 == 0.0:
+        return 0.0
+    try:
+        return lambda1 * math.exp(-alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _penalized(q: float, alpha: float, beta: np.ndarray, penalty: PenaltyConfig) -> float:
     """``q`` minus one group's penalties, always subtracted in this order."""
-    return q - penalty.lambda1 * math.exp(-alpha) - penalty.lambda2 * float(np.sum(np.abs(beta)))
+    return (
+        q
+        - _intercept_penalty(alpha, penalty.lambda1)
+        - penalty.lambda2 * float(np.sum(np.abs(beta)))
+    )
 
 
 def _penalized_loglik(loglik: float, theta: Theta, penalty: PenaltyConfig) -> float:
-    # Adding the negated group penalties is bit-identical to subtracting
-    # their sum: IEEE rounding is symmetric under negation.
-    return loglik + sum(_penalized(0.0, g.alpha, g.beta, penalty) for g in theta.groups)
+    # The negated group penalties are added in sorted order, so the objective
+    # does not depend on the group labelling.
+    return loglik + sum(sorted(_penalized(0.0, g.alpha, g.beta, penalty) for g in theta.groups))
 
 
 def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
@@ -295,7 +319,7 @@ def _smooth_gradients(
     # gradient as a stalled step.
     with np.errstate(over="ignore", invalid="ignore"):
         resid = (cumhaz - weight) / sigma
-        g_alpha = float(np.sum(resid)) + lambda1 * math.exp(-alpha)
+        g_alpha = float(np.sum(resid)) + _intercept_penalty(alpha, lambda1)
         g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
         g_sigma = float(
             np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
@@ -385,14 +409,12 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
 
 
 class _GroupState:
-    """Mutable per-group optimizer state carried across EM iterations; the
-    proximal step size starts at 1/n."""
+    """Mutable per-group parameters that the M-steps update in place."""
 
-    def __init__(self, g: GroupParams, sigma_floor: float, n: int):
+    def __init__(self, g: GroupParams, sigma_floor: float):
         self.alpha = g.alpha
         self.beta = np.array(g.beta, dtype=float)
         self.sigma = max(g.sigma, sigma_floor)
-        self.step = 1.0 / n
         self.stalled = False
 
 
@@ -410,7 +432,12 @@ def _update_group(
 ) -> None:
     """One M-step for a single group, in place: proximal gradient ascent on
     (alpha, beta) followed by a bounded sigma search.  Never decreases the
-    penalized group objective."""
+    penalized group objective.
+
+    The proximal step size starts at 1/n in every call, so the update is a
+    function of the current parameters and eta alone, which SQUAREM's
+    extrapolation of the EM map relies on.
+    """
 
     def objective(alpha: float, beta: np.ndarray):
         q, terms = _q_group_values(work, l, alpha, beta, state.sigma, eta_l)
@@ -420,6 +447,7 @@ def _update_group(
     # reuses that evaluation's arrays.
     current, terms = objective(state.alpha, state.beta)
     state.stalled = False
+    step_size = 1.0 / work.delta.size
 
     for _ in range(_INNER_ITERS):
         g_alpha, g_beta, _ = _smooth_gradients(
@@ -428,7 +456,7 @@ def _update_group(
         if not (math.isfinite(g_alpha) and np.all(np.isfinite(g_beta))):
             state.stalled = True
             break
-        step = state.step
+        step = step_size
         accepted = False
         for bt in range(_MAX_BACKTRACKS):
             alpha_new = state.alpha + step * g_alpha
@@ -450,7 +478,7 @@ def _update_group(
         improved = value - current
         state.alpha = alpha_new
         state.beta = beta_new
-        state.step = min(step * 1.3, 1e6) if bt == 0 else step
+        step_size = min(step * 1.3, 1e6) if bt == 0 else step
         current, terms = value, new_terms
         if moved < 1e-12 or (0 <= improved < 1e-14 * (1.0 + abs(current))):
             break
@@ -503,7 +531,7 @@ def m_step(
     unchanged.
     """
     theta.validate_against(spec)
-    states = [_GroupState(g, config.sigma_floor, data.n) for g in theta.groups]
+    states = [_GroupState(g, config.sigma_floor) for g in theta.groups]
     eta = np.asarray(eta, dtype=float)
     _m_step(_Workspace(spec, data), states, eta, penalty, config.sigma_floor)
     return _theta_of(states)
@@ -552,17 +580,80 @@ def _jittered(theta: Theta, rng: np.random.Generator) -> Theta:
     ])
 
 
+def _norm(change: np.ndarray) -> float:
+    """Euclidean norm of a parameter change; inf when an entry is not finite.
+
+    The squares are summed in sorted order, so the norm does not depend on
+    the group labelling, and scaled by the largest entry, so it neither
+    overflows nor warns.
+    """
+    size = np.sort(np.abs(change))
+    top = float(size[-1])
+    if not math.isfinite(top):
+        return math.inf
+    if top == 0.0:
+        return 0.0
+    return top * math.sqrt(float(np.sum((size / top) ** 2)))
+
+
+def _extrapolate(
+    work: _Workspace,
+    cycle: Sequence[Theta],
+    penalized_last: float,
+    penalty: PenaltyConfig,
+    sigma_floor: float,
+):
+    """SQUAREM's S3 step from theta0, theta1 = F(theta0), theta2 = F(theta1).
+
+    With r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and a = -|r|/|v|,
+    the point is theta0 - 2a r + a^2 v (Varadhan & Roland 2008).  Returns it
+    with its kernel log hazards, or None when a >= -1 (the point would be
+    theta2), when it is not finite, puts a sigma below the floor, or has a
+    penalized objective that is not finite or is below theta2's.
+    """
+    x0, x1, x2 = (theta.flatten() for theta in cycle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x1 - x0
+        v = x2 - 2.0 * x1 + x0
+        r_norm, v_norm = _norm(r), _norm(v)
+        if not v_norm > 0.0:
+            return None
+        a = -r_norm / v_norm
+        if not a < -1.0:
+            return None
+        x = x0 - 2.0 * a * r + a * a * v
+    sigma_at = np.cumsum([2 + g.beta.shape[0] for g in cycle[0].groups]) - 1
+    if not (np.all(np.isfinite(x)) and np.all(x[sigma_at] >= sigma_floor)):
+        return None
+    theta = Theta.from_flat(x, work.spec)
+    log_haz, cumhaz = work.hazards(theta)
+    value = _penalized_loglik(_loglik(work, log_haz, cumhaz), theta, penalty)
+    if not (math.isfinite(value) and value >= penalized_last):
+        return None
+    return theta, log_haz
+
+
 def _run_em(
     work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta
 ) -> FitResult:
-    states = [_GroupState(g, config.sigma_floor, work.delta.size) for g in theta.groups]
+    """SQUAREM-accelerated EM from ``theta``.
+
+    Each cycle takes two EM maps, then tries the extrapolated point of
+    :func:`_extrapolate`; when it is accepted, one more map from it follows,
+    otherwise the next cycle starts from the second map's output.  Every
+    returned point is an M-step output, so lasso zeros stay exact and sigma
+    stays at or above the floor.  ``max_em_iters`` caps the maps, each map is
+    one trace entry, and each map's move is its own stop test.
+    """
+    states = [_GroupState(g, config.sigma_floor) for g in theta.groups]
     theta = _theta_of(states)
-    # One kernel evaluation per iteration: it gives the trace entry of theta
-    # and the E-step from theta.
+    # One kernel evaluation per map: it gives the trace entry of its output
+    # and the next E-step.
     log_haz, cumhaz = work.hazards(theta)
     loglik_trace = [_loglik(work, log_haz, cumhaz)]
     penalized_trace = [_penalized_loglik(loglik_trace[0], theta, penalty)]
     warnings: list[str] = []
+    cycle = [theta]
 
     for m in range(config.max_em_iters):
         _m_step(work, states, _winning(log_haz), penalty, config.sigma_floor)
@@ -575,10 +666,21 @@ def _run_em(
         log_haz, cumhaz = work.hazards(theta_new)
         loglik_trace.append(_loglik(work, log_haz, cumhaz))
         penalized_trace.append(_penalized_loglik(loglik_trace[-1], theta_new, penalty))
-        delta_norm = float(np.linalg.norm(theta_new.flatten() - theta.flatten()))
+        delta_norm = _norm(theta_new.flatten() - theta.flatten())
         theta = theta_new
         if delta_norm < config.epsilon:
             break
+        cycle.append(theta)
+        if len(cycle) < 3 or m + 1 == config.max_em_iters:
+            continue
+        jump = _extrapolate(work, cycle, penalized_trace[-1], penalty, config.sigma_floor)
+        if jump is None:
+            cycle = [theta]
+            continue
+        theta, log_haz = jump
+        for state, g in zip(states, theta.groups):
+            state.alpha, state.beta, state.sigma = g.alpha, np.array(g.beta), g.sigma
+        cycle = []
 
     return FitResult(
         theta_hat=theta,
@@ -600,8 +702,8 @@ def fit_em(
     config: FitConfig | None = None,
     theta_init: Theta | None = None,
 ) -> FitResult:
-    """Fit the model by EM, stopping when the parameter change drops below
-    ``config.epsilon`` or the iteration budget runs out.
+    """Fit the model by SQUAREM-accelerated EM, stopping when an EM map
+    moves theta by less than ``config.epsilon`` or the map budget runs out.
 
     Non-convergence is reported through ``converged=False``, never raised.
     With ``theta_init`` omitted the default initialization is used, plus

@@ -383,3 +383,27 @@ class TestFitErrors:
             == 0
         )
         assert read_json(fit)["converged"] is False
+
+    @pytest.mark.parametrize("lambda1", [0.0, 2.0])
+    def test_far_intercept_init_exits_without_traceback(self, tmp_path, capsys, lambda1):
+        # exp(720) overflows a double; the fit must not raise through the CLI.
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        rows = "\n".join(f"{t},1,{x}" for t, x in zip(rng.exponential(2, 100), rng.normal(size=100)))
+        data.write_text("time,status,x1\n" + rows + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        init = tmp_path / "init.json"
+        init.write_text(
+            json.dumps(
+                {"covariate_names": ["x1"], "groups": [
+                    {"covariates": ["x1"], "alpha": -720.0, "beta": [0.8], "sigma": 1.0}
+                ]}
+            )
+        )
+        code = run(
+            "fit", "--data", data, "--spec", spec, "--lambda1", lambda1,
+            "--init", init, "--out", tmp_path / "fit.json",
+        )
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err

@@ -13,6 +13,7 @@ import competing_weibull as cw
 from competing_weibull.estimation import (
     _Workspace,
     _loglik_raw,
+    _penalized_loglik,
     _score,
     penalized_q_group,
 )
@@ -510,6 +511,95 @@ class TestFitEM:
         direct_theta, direct_ll = direct_mle(spec, sim.data, start)
         assert fit.final_loglik == pytest.approx(direct_ll, abs=1e-6)
         assert np.max(np.abs(fit.theta_hat.flatten() - direct_theta.flatten())) < 1e-4
+
+
+def plain_em(spec, data, penalty, config, theta):
+    """Reference: unaccelerated EM through the public E- and M-steps, with the
+    same stop test; returns the last point and the number of maps."""
+    for k in range(config.max_em_iters):
+        new = cw.m_step(theta, spec, data, cw.e_step(theta, spec, data), penalty, config)
+        moved = np.linalg.norm(new.flatten() - theta.flatten())
+        theta = new
+        if moved < config.epsilon:
+            return theta, k + 1
+    return theta, config.max_em_iters
+
+
+def one_group_far_start(alpha):
+    rng = np.random.default_rng(0)
+    spec = cw.ModelSpec([cw.GroupSpec([0])], p=1)
+    x = rng.standard_normal((100, 1))
+    times, _ = cw.sample_events(cw.Theta([cw.GroupParams(0.5, [0.8], 1.0)]), spec, x, rng)
+    data = cw.Dataset(times, np.ones(100, dtype=int), x)
+    return spec, data, cw.Theta([cw.GroupParams(alpha, [0.8], 1.0)])
+
+
+class TestSquarem:
+    def test_matches_plain_em(self):
+        # Plain EM stops once its move is below epsilon = 1e-6, which at a
+        # contraction rate rho leaves it about 1e-6 / (1 - rho) from the fixed
+        # point; slow fits here have rho near 0.99, hence 2e-4 on theta.  The
+        # penalized objective is flat there, so it agrees to 1e-9 relative.
+        rng = np.random.default_rng(61)
+        cases = []
+        settings = ((1, 0.1, 1.0), (2, 0.2, 1.0), (3, 0.3, 1.0), (3, 0.3, 60.0))
+        for example, censoring, lambda2 in settings:
+            scen = cw.builtin_scenario(example, censoring, seed=3)
+            cases.append((scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, lambda2)))
+        for L in (1, 2, 3):
+            spec, _, data = random_instance(rng, n=200, L=L)
+            cases.append((spec, data, cw.PenaltyConfig(0.3, 0.1)))
+        config = cw.FitConfig(compute_std_errors=False)
+        maps, zeros = [], []
+        for spec, data, penalty in cases:
+            start = cw.initialize_theta(spec, data)
+            reference, n_maps = plain_em(spec, data, penalty, config, start)
+            fit = cw.fit_em(spec, data, penalty, config)
+            assert fit.converged
+            expected = _penalized_loglik(
+                _loglik_raw(_Workspace(spec, data), reference), reference, penalty
+            )
+            assert abs(fit.final_penalized - expected) <= 1e-9 * (1.0 + abs(expected))
+            flat, ref_flat = fit.theta_hat.flatten(), reference.flatten()
+            assert np.max(np.abs(flat - ref_flat)) < 2e-4
+            assert np.array_equal(flat == 0.0, ref_flat == 0.0)
+            zeros.append(np.count_nonzero(flat == 0.0))
+            maps.append((fit.n_iters, n_maps))
+        assert zeros[3] > 0  # example 3 at lambda2 = 60 has exact zeros
+        assert maps[0][0] < maps[0][1]  # extrapolation ran on example 1
+
+    # At the default floor the extrapolated points are accepted; at 1.05,
+    # which the fitted sigmas of this dataset press against, they are not.
+    @pytest.mark.parametrize("sigma_floor", [0.01, 1.05])
+    @pytest.mark.parametrize("budget", range(1, 7))
+    def test_budget_floor_and_monotone_trace(self, budget, sigma_floor):
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        data = cw.generate(scen).data
+        config = cw.FitConfig(
+            max_em_iters=budget, sigma_floor=sigma_floor, compute_std_errors=False
+        )
+        fit = cw.fit_em(scen.model, data, cw.PenaltyConfig(2.0, 1.0), config)
+        assert fit.n_iters <= budget
+        assert len(fit.penalized_trace) == fit.n_iters + 1
+        assert all(g.sigma >= config.sigma_floor for g in fit.theta_hat.groups)
+        trace = fit.penalized_trace
+        assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[1:])))
+
+    @pytest.mark.parametrize("lambda1", [0.0, 2.0])
+    def test_far_intercept_start_does_not_raise(self, lambda1):
+        # exp(720) overflows a double: the intercept penalty must not raise.
+        spec, data, start = one_group_far_start(-720.0)
+        fit = cw.fit_em(spec, data, cw.PenaltyConfig(lambda1, 0.0), theta_init=start)
+        assert fit.n_iters >= 1
+        if lambda1 > 0:
+            assert fit.final_penalized == -math.inf or any("stalled" in w for w in fit.warnings)
+
+    def test_far_start_change_norm_is_quiet(self):
+        spec, data, start = one_group_far_start(-700.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = cw.fit_em(spec, data, theta_init=start)
+        assert fit.n_iters >= 1
 
 
 class TestStandardErrors:
