@@ -2,10 +2,11 @@
 
 The EM algorithm alternates between an E-step that computes each subject's
 winning probabilities at its observed time and an M-step that maximizes the
-expected complete log-likelihood group by group.  Each group update runs
-proximal gradient ascent on (alpha, beta), soft-thresholding the
-coefficients so that lasso zeros are exact, followed by a bounded
-golden-section search over sigma.  The fitting convention throughout is to maximize
+expected complete log-likelihood group by group.  Each group update
+maximizes over (alpha, beta) at fixed sigma by proximal Newton steps, whose
+lasso model is solved exactly on its active set, so lasso zeros are exact,
+and then over sigma at fixed (alpha, beta) by safeguarded Newton on
+1/sigma.  The fitting convention throughout is to maximize
 
     Q_l(theta) - lambda1 * exp(-alpha_l) - lambda2 * ||beta_l||_1
 
@@ -81,9 +82,13 @@ class PenaltyConfig:
             raise SpecError("penalty weights must be nonnegative")
 
 
-_INNER_ITERS = 40  # proximal (alpha, beta) steps per group update
+_NEWTON_ITERS = 40  # proximal Newton steps on (alpha, beta) per group update
+_NEWTON_TOL = 1e-10  # a step below this, times 1 + |(alpha, beta)|, is not taken
 _MAX_BACKTRACKS = 40  # step halvings before a group update stalls
-_SIGMA_MAX = 10.0  # upper end of the sigma search; sigma_floor is the lower
+_CD_SWEEPS = 1000  # coordinate-descent sweeps of the lasso model fallback
+_SIGMA_ITERS = 100  # Newton or bisection steps on 1/sigma per group update
+_SIGMA_TOL = 1e-12  # relative Newton step on 1/sigma that ends the search
+_SIGMA_MAX = 10.0  # upper bound of sigma; sigma_floor is the lower
 _JITTER_SCALE = 0.1  # noise scale of the alpha/beta jitter of extra starts
 _SE_REL_STEP = 1e-5  # score-Jacobian step for theta_j, times 1 + |theta_j|
 
@@ -97,10 +102,10 @@ class FitConfig:
     1e-3 is enough for large noisy data).  ``max_em_iters`` caps the number
     of EM maps (one E-step plus one M-step each); the SQUAREM extrapolations
     between them are not counted.  ``sigma_floor`` keeps every noise scale
-    bounded away from zero and is the lower end of the sigma search, whose
-    upper end is 10.  ``n_starts > 1`` enables multi-start: additional
-    starts jitter alpha and beta with Gaussian noise of scale 0.1 (seeded by
-    ``seed``), and the start with the best final penalized objective wins.
+    bounded away from zero: the M-step keeps sigma in ``[sigma_floor, 10]``.
+    ``n_starts > 1`` enables multi-start: additional starts jitter alpha and
+    beta with Gaussian noise of scale 0.1 (seeded by ``seed``), and the
+    start with the best final penalized objective wins.
     ``compute_std_errors`` runs :func:`standard_errors` on the winner.
     """
 
@@ -131,7 +136,8 @@ class FitResult:
     observed information could not be inverted (see ``warnings``).
     ``n_iters`` counts EM maps; the traces hold the start and then one entry
     per map output, never an extrapolated point.  ``converged`` means the
-    last map moved theta by less than ``epsilon``.
+    last map moved theta by less than ``epsilon`` and the final penalized
+    objective is finite.
     """
 
     theta_hat: Theta
@@ -179,7 +185,7 @@ def _loglik_terms(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> 
 
 def _loglik(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> float:
     """Sum of :func:`_loglik_terms`, quiet when it is not finite."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sum(_loglik_terms(work, log_haz, cumhaz)))
 
 
@@ -254,8 +260,9 @@ def _q_group_values(
     weight = work.delta * eta_l
     # np.sum of the products, not a BLAS dot: a threaded dot splits its sum
     # by the thread count, and fits must not depend on it.  A zero weight
-    # against an infinite log hazard gives nan, quietly, as the dot did.
-    with np.errstate(invalid="ignore"):
+    # against an infinite log hazard gives nan, quietly, as the dot did, and
+    # an overflowing sum gives -inf, which the M-step rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
         q = float(np.sum(weight * log_haz) - np.sum(cumhaz))
     return q, (mu, cumhaz, weight)
 
@@ -305,6 +312,20 @@ class QGroupGradients:
     sigma_clipped: bool = False
 
 
+def _location_gradient(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float):
+    """Gradient of Q_l - lambda1 exp(-alpha) in (alpha, beta) for the group
+    design ``x``, from the arrays :func:`_q_group_values` returned at the
+    same (alpha, beta, sigma)."""
+    _, cumhaz, weight = terms
+    # Far from the data the gradient overflows; callers treat a non-finite
+    # gradient as a stalled step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (cumhaz - weight) / sigma
+        g_alpha = float(np.sum(resid)) + _intercept_penalty(alpha, lambda1)
+        g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
+    return g_alpha, g_beta
+
+
 def _smooth_gradients(
     work: _Workspace, l: int, alpha: float, sigma: float, terms, lambda1: float
 ):
@@ -314,13 +335,8 @@ def _smooth_gradients(
     (alpha, beta, sigma).
     """
     mu, cumhaz, weight = terms
-    x = work.x_groups[l]
-    # Far from the data the gradient overflows; callers treat a non-finite
-    # gradient as a stalled step.
+    g_alpha, g_beta = _location_gradient(work.x_groups[l], alpha, sigma, terms, lambda1)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = (cumhaz - weight) / sigma
-        g_alpha = float(np.sum(resid)) + _intercept_penalty(alpha, lambda1)
-        g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
         g_sigma = float(
             np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
         ) / sigma**2
@@ -379,33 +395,188 @@ def _score(work: _Workspace, theta: Theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _soft_threshold(x: np.ndarray, cut: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - cut, 0.0)
+def _curvature(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float) -> np.ndarray:
+    """Minus the Hessian of Q_l - lambda1 exp(-alpha) in (alpha, beta):
+    ``X'diag(H / sigma^2)X + lambda1 exp(-alpha) e1 e1'`` with X = [1, x].
+
+    The n-long reductions are numpy sums, not BLAS products, so the matrix
+    does not depend on the BLAS thread count.
+    """
+    _, cumhaz, _ = terms
+    k = x.shape[1]
+    curv = np.empty((k + 1, k + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = cumhaz / sigma**2
+        curv[0, 0] = float(np.sum(h)) + _intercept_penalty(alpha, lambda1)
+        if k:
+            xh = x * h[:, None]
+            curv[0, 1:] = curv[1:, 0] = np.sum(xh, axis=0)
+            curv[1:, 1:] = np.einsum("ij,ik->jk", xh, x)
+    return curv
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
-    """Maximize a scalar function on [lo, hi]; returns (argmax, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = f(c)
+def _active_set_step(curv, grad, beta, lambda2, signs):
+    """The lasso model's minimizer of :func:`_newton_step` on a guessed active
+    set, or None when the guess fails the model's KKT conditions.
+
+    ``signs`` guesses the sign of each new coefficient: those guessed 0 go to
+    exactly zero, the others must keep their sign; the intercept is free.
+    """
+    free = np.concatenate([[True], signs != 0.0])
+    step = np.zeros(grad.shape[0])
+    step[~free] = -beta[~free[1:]]
+    rhs = grad[free] - lambda2 * np.concatenate([[0.0], signs])[free]
+    rhs -= curv[np.ix_(free, ~free)] @ step[~free]
+    try:
+        step[free] = np.linalg.solve(curv[np.ix_(free, free)], rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(step)):
+        return None
+    if lambda2 == 0.0:
+        return step
+    kept = free[1:]
+    # grad - curv @ step is minus the model's smooth gradient at the new point.
+    zero_slack = np.abs(grad - curv @ step)[1:][~kept]
+    if np.all(np.sign(beta[kept] + step[1:][kept]) == signs[kept]) and np.all(
+        zero_slack <= lambda2 * (1.0 + 1e-9)
+    ):
+        return step
+    return None
+
+
+def _coordinate_descent_step(curv, grad, beta, lambda2):
+    """The lasso model's minimizer of :func:`_newton_step` by cyclic
+    coordinate descent; coordinates without positive curvature stay put."""
+    step = np.zeros(grad.shape[0])
+    resid = grad.copy()  # grad - curv @ step
+    for _ in range(_CD_SWEEPS):
+        largest = 0.0
+        for j in range(step.shape[0]):
+            a_jj = curv[j, j]
+            if not (a_jj > 0.0 and math.isfinite(a_jj)):
+                continue
+            target = resid[j] + a_jj * step[j]
+            if j == 0:
+                new = target / a_jj
+            else:
+                b = beta[j - 1]
+                z = b * a_jj + target
+                z = math.copysign(max(abs(z) - lambda2, 0.0), z) / a_jj
+                new = -b if z == 0.0 else z - b
+            change = new - step[j]
+            if change:
+                resid -= curv[:, j] * change
+                step[j] = new
+                largest = max(largest, abs(change))
+        if largest <= 1e-15 * (1.0 + float(np.max(np.abs(step)))):
+            break
+    return step
+
+
+def _newton_step(curv: np.ndarray, grad: np.ndarray, beta: np.ndarray, lambda2: float):
+    """Proximal Newton step in (alpha, beta): the minimizer over ``step`` of
+
+        -grad . step + step . curv step / 2 + lambda2 ||beta + step[1:]||_1,
+
+    the local model of minus the penalized group objective (index 0 is the
+    unpenalized intercept).  The active set of the current coefficients is
+    tried first; when it fails the model's KKT conditions, coordinate descent
+    finds the active set and it is solved again there exactly.  A coefficient
+    the step zeroes becomes exactly 0 at unit step length.  Far from the
+    data the arithmetic may overflow; the line search rejects such a step.
+    """
+
+    def support(coef):
+        return np.sign(coef) if lambda2 > 0.0 else np.ones(coef.shape[0])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _active_set_step(curv, grad, beta, lambda2, support(beta))
+        if step is not None:
+            return step
+        step = _coordinate_descent_step(curv, grad, beta, lambda2)
+        polished = _active_set_step(curv, grad, beta, lambda2, support(beta + step[1:]))
+    return step if polished is None else polished
+
+
+def _sigma_newton(
+    d: np.ndarray, weight: np.ndarray, sigma: float, sigma_floor: float
+) -> float:
+    """The sigma in ``[sigma_floor, _SIGMA_MAX]`` that maximizes Q_l at the
+    fixed ``d = log T - mu``, found from the current ``sigma``.
+
+    With ``u = 1/sigma`` and the constant dropped, the objective is ``q(u) =
+    u sum(weight d) + sum(weight) log u - sum exp(u d)`` on [lo, hi] = [1 /
+    _SIGMA_MAX, 1 / sigma_floor].
+
+    q is concave, so Newton steps run inside a bracket that each sign of
+    q'(u) shrinks.  A step that leaves the bracket goes to a bound not yet
+    evaluated, or else bisects the bracket geometrically, as does a step from
+    a derivative that is not finite (exp(u d) overflows only where q' < 0).
+    The maximizer is found when a Newton step is below ``_SIGMA_TOL``
+    relative, or at a bound whose derivative points outward; by concavity it
+    is then at least as good as the current sigma.  If the search fails, the
+    best u evaluated is returned.  A sigma outside the bounds is kept unless the
+    result beats it.  Every sum is a numpy reduction.
+    """
+    s_weight = float(np.sum(weight))
+    s_weighted_d = float(np.sum(weight * d))
+    lo, hi = 1.0 / _SIGMA_MAX, 1.0 / sigma_floor
+
+    def derivatives(u: float):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumhaz = np.exp(u * d)
+            d_cumhaz = d * cumhaz
+            return (
+                u * s_weighted_d + s_weight * math.log(u) - float(np.sum(cumhaz)),
+                s_weighted_d + s_weight / u - float(np.sum(d_cumhaz)),
+                -s_weight / u**2 - float(np.sum(d * d_cumhaz)),
+            )
+
+    u0 = 1.0 / sigma
+    inside = lo <= u0 <= hi
+    u = min(max(u0, lo), hi)
+    best_u, best_q = u, -math.inf
+    lo_seen = hi_seen = False
+    for _ in range(_SIGMA_ITERS):
+        q, first, second = derivatives(u)
+        if q > best_q:
+            best_u, best_q = u, q
+        if math.isnan(first):
+            break
+        finite = math.isfinite(first) and -math.inf < second < 0.0
+        target = u - first / second if finite else math.nan
+        if (
+            first == 0.0
+            or (first > 0.0 and u >= hi)
+            or (first < 0.0 and u <= lo)
+            or abs(target - u) <= _SIGMA_TOL * u
+        ):
+            best_u, best_q = u, q  # the maximizer, whatever rounding says
+            break
+        if first > 0.0:
+            lo, lo_seen = u, True
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+            hi, hi_seen = u, True
+        if not lo < target < hi:
+            if target <= lo and not lo_seen:
+                target = lo
+            elif target >= hi and not hi_seen:
+                target = hi
+            else:
+                target = math.sqrt(lo * hi)
+                if not lo < target < hi:
+                    break
+        u = target
+
+    if best_u == u0 or not (inside or best_q > derivatives(u0)[0]):
+        return sigma
+    # The bounds are returned exactly, not as the reciprocal of their reciprocal.
+    if best_u == 1.0 / sigma_floor:
+        return sigma_floor
+    if best_u == 1.0 / _SIGMA_MAX:
+        return _SIGMA_MAX
+    return 1.0 / best_u
 
 
 class _GroupState:
@@ -430,78 +601,60 @@ def _update_group(
     penalty: PenaltyConfig,
     sigma_floor: float,
 ) -> None:
-    """One M-step for a single group, in place: proximal gradient ascent on
-    (alpha, beta) followed by a bounded sigma search.  Never decreases the
-    penalized group objective.
+    """One M-step for a single group, in place: proximal Newton on (alpha,
+    beta) at the current sigma (:func:`_newton_step`), each step halved until
+    the penalized group objective does not decrease, then the maximizer over
+    sigma in ``[sigma_floor, _SIGMA_MAX]`` at the new (alpha, beta)
+    (:func:`_sigma_newton`).  Never decreases the penalized group objective;
+    ``stalled`` is set when a gradient is not finite or no halving is
+    accepted.
 
-    The proximal step size starts at 1/n in every call, so the update is a
-    function of the current parameters and eta alone, which SQUAREM's
-    extrapolation of the EM map relies on.
+    The update is a function of the current parameters and eta alone, which
+    SQUAREM's extrapolation of the EM map relies on.
     """
+    x = work.x_groups[l]
 
     def objective(alpha: float, beta: np.ndarray):
         q, terms = _q_group_values(work, l, alpha, beta, state.sigma, eta_l)
         return _penalized(q, alpha, beta, penalty), terms
 
-    # Each gradient is taken where the objective was last evaluated, so it
+    # Each Newton step is taken where the objective was last evaluated, so it
     # reuses that evaluation's arrays.
     current, terms = objective(state.alpha, state.beta)
     state.stalled = False
-    step_size = 1.0 / work.delta.size
-
-    for _ in range(_INNER_ITERS):
-        g_alpha, g_beta, _ = _smooth_gradients(
-            work, l, state.alpha, state.sigma, terms, penalty.lambda1
-        )
-        if not (math.isfinite(g_alpha) and np.all(np.isfinite(g_beta))):
+    for _ in range(_NEWTON_ITERS):
+        g_alpha, g_beta = _location_gradient(x, state.alpha, state.sigma, terms, penalty.lambda1)
+        grad = np.concatenate([[g_alpha], g_beta])
+        curv = _curvature(x, state.alpha, state.sigma, terms, penalty.lambda1)
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
             state.stalled = True
             break
-        step = step_size
-        accepted = False
-        for bt in range(_MAX_BACKTRACKS):
-            alpha_new = state.alpha + step * g_alpha
-            beta_new = _soft_threshold(
-                state.beta + step * g_beta, step * penalty.lambda2
-            )
+        step = _newton_step(curv, grad, state.beta, penalty.lambda2)
+        size = float(np.max(np.abs(step)))
+        if not math.isfinite(size):
+            state.stalled = True
+            break
+        if size <= _NEWTON_TOL * (1.0 + abs(state.alpha) + float(np.sum(np.abs(state.beta)))):
+            break
+        length = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            # At unit length the new coefficients are the model's minimizer,
+            # exact zeros included.
+            alpha_new = state.alpha + length * step[0]
+            beta_new = state.beta + length * step[1:]
             value, new_terms = objective(alpha_new, beta_new)
             if math.isfinite(value) and value >= current - 1e-12 * (1.0 + abs(current)):
-                accepted = True
                 break
-            step *= 0.5
-        if not accepted:
+            length *= 0.5
+        else:
             state.stalled = True
             break
-        moved = max(
-            abs(alpha_new - state.alpha),
-            float(np.max(np.abs(beta_new - state.beta))) if beta_new.size else 0.0,
-        )
-        improved = value - current
-        state.alpha = alpha_new
-        state.beta = beta_new
-        step_size = min(step * 1.3, 1e6) if bt == 0 else step
+        state.alpha, state.beta = alpha_new, beta_new
         current, terms = value, new_terms
-        if moved < 1e-12 or (0 <= improved < 1e-14 * (1.0 + abs(current))):
-            break
 
-    # Sigma update: the penalties do not involve sigma, so maximize Q_l alone
-    # with mu fixed.  Keep the old sigma unless the search improves on it.
+    # The penalties do not involve sigma: maximize Q_l alone with mu fixed.
     mu, _, weight = terms
-    d = work.log_t - mu
-    s_weight = float(np.sum(weight))
-    s_weighted_d = float(np.sum(weight * d))
-    const = -float(np.sum(weight * work.log_t))
-
-    def q_of_sigma(sigma: float) -> float:
-        with np.errstate(over="ignore"):
-            total_cumhaz = float(np.sum(np.exp(d / sigma)))
-        return (
-            s_weighted_d / sigma - s_weight * math.log(sigma) + const - total_cumhaz
-        )
-
-    q_old = q_of_sigma(state.sigma)
-    sigma_new, q_new = _golden_section_max(q_of_sigma, sigma_floor, _SIGMA_MAX, tol=1e-8)
-    if math.isfinite(q_new) and q_new > q_old:
-        state.sigma = sigma_new
+    state.sigma = _sigma_newton(work.log_t - mu, weight, state.sigma, sigma_floor)
 
 
 def _m_step(
@@ -689,7 +842,7 @@ def _run_em(
         censored_rows=work.delta == 0,
         loglik_trace=np.asarray(loglik_trace),
         penalized_trace=np.asarray(penalized_trace),
-        converged=delta_norm < config.epsilon,
+        converged=delta_norm < config.epsilon and math.isfinite(penalized_trace[-1]),
         n_iters=len(loglik_trace) - 1,
         warnings=tuple(warnings),
     )

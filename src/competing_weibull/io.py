@@ -83,6 +83,13 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], what: str):
         raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+def _objects(value, what: str) -> list:
+    """``value`` if it is a list of JSON objects; ConfigError otherwise."""
+    if not (isinstance(value, list) and all(isinstance(entry, dict) for entry in value)):
+        raise ConfigError(f"{what} must be a list of objects")
+    return value
+
+
 def _check_version(obj: dict, what: str):
     version = obj.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
@@ -105,31 +112,40 @@ def write_dataset_csv(path: str, data: Dataset, covariate_names: Sequence[str] |
 
 def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
     """Read a dataset CSV; returns the data and the covariate column names."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "time" or header[1] != "status":
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return _parse_dataset_csv(path, csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_dataset_csv(path: str, reader) -> tuple[Dataset, list[str]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    if len(header) < 2 or header[0] != "time" or header[1] != "status":
+        raise ConfigError(
+            f"{path}: header must start with 'time,status', got {header[:2]}"
+        )
+    names = header[2:]
+    times, status, rows = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise ConfigError(
-                f"{path}: header must start with 'time,status', got {header[:2]}"
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
-        names = header[2:]
-        times, status, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                times.append(float(row[0]))
-                status.append(int(float(row[1])))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        try:
+            times.append(float(row[0]))
+            event = float(row[1])
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if event not in (0.0, 1.0):
+            raise ConfigError(f"{path}:{lineno}: status must be 0 or 1, got {row[1]!r}")
+        status.append(int(event))
     if not times:
         raise ConfigError(f"{path}: no data rows")
     try:
@@ -209,7 +225,7 @@ def model_spec_from_json(obj: dict, covariate_names: Sequence[str]) -> ModelSpec
     _require_keys(obj, {"groups"}, {"format_version"}, "model spec")
     index_of = {name: j for j, name in enumerate(covariate_names)}
     groups = []
-    for g, entry in enumerate(obj["groups"]):
+    for g, entry in enumerate(_objects(obj["groups"], "model spec groups")):
         _require_keys(entry, {"covariates"}, set(), f"model spec group {g}")
         indices = []
         for name in entry["covariates"]:
@@ -285,14 +301,17 @@ def fit_from_json(obj: dict) -> tuple[ModelSpec, Theta, list[str]]:
         },
         "fit",
     )
-    names = list(obj["covariate_names"])
-    spec = model_spec_from_json(
-        {"groups": [{"covariates": g["covariates"]} for g in obj["groups"]]}, names
-    )
+    names = obj["covariate_names"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ConfigError("fit JSON: covariate_names must be a list of strings")
+    groups = _objects(obj["groups"], "fit JSON groups")
+    for g, entry in enumerate(groups):
+        _require_keys(entry, {"covariates", "alpha", "beta", "sigma"}, set(), f"fit group {g}")
+    spec = model_spec_from_json({"groups": [{"covariates": g["covariates"]} for g in groups]}, names)
     index_of = {name: j for j, name in enumerate(names)}
     try:
         params = []
-        for g in obj["groups"]:
+        for g in groups:
             beta = list(g["beta"])
             if len(beta) != len(g["covariates"]):
                 raise ConfigError("fit JSON: beta length must match covariates")

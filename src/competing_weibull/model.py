@@ -339,8 +339,8 @@ def _hazards(mu: np.ndarray, sigma: np.ndarray, log_t):
     with ``z = (log t - mu_l) / sigma_l``.  A single group may pass its
     ``sigma`` as a float.
     """
-    z = (log_t - mu) / sigma
     with np.errstate(over="ignore"):
+        z = (log_t - mu) / sigma
         cumhaz = np.exp(z)
     # np.log and math.log can differ in the last bit; each caller keeps the
     # one its arithmetic has always used, so fits stay bit-identical.

@@ -204,6 +204,19 @@ class TestFitPredictEvaluate:
         other.write_text("time,status,z1\n1.0,1,0.5\n")
         assert run("predict", "--fit", fit, "--data", other, "--at", "1", "--out", tmp_path / "p.csv") == 2
 
+    @pytest.mark.parametrize(
+        "groups",
+        [["x1"], [{"alpha": 0.0, "beta": [], "sigma": 1.0}]],
+        ids=["entry-not-an-object", "entry-without-covariates"],
+    )
+    def test_predict_rejects_malformed_fit_groups(self, pipeline, tmp_path, groups):
+        tmp, data, spec, fit = pipeline
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(dict(read_json(fit), groups=groups)))
+        out = tmp_path / "p.csv"
+        assert run("predict", "--fit", bad, "--data", data, "--at", "1", "--out", out) == 2
+        assert not out.exists()
+
     def test_evaluate_report_and_curves(self, pipeline):
         tmp, data, spec, fit = pipeline
         report = tmp / "report.json"
@@ -360,6 +373,22 @@ class TestFitErrors:
         data.write_text("time,status,x1\n1.0,1,0.5\n2.0,1,-0.3\n")
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"groups": [{"covariates": ["nope"]}]}))
+        assert run("fit", "--data", data, "--spec", spec, "--out", tmp_path / "f.json") == 2
+
+    def test_fractional_status_exits_2(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x1\n1.0,1,0.5\n2.0,0.7,-0.3\n3.0,0,0.1\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", data, "--spec", spec, "--out", out) == 2
+        assert not out.exists()
+
+    def test_non_utf8_data_exits_2(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes("time,status,x1\n1.0,1,0.5\n2.0,1,-0.3\n".encode("utf-16"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
         assert run("fit", "--data", data, "--spec", spec, "--out", tmp_path / "f.json") == 2
 
     def test_missing_file_exits_3(self, tmp_path):

@@ -336,6 +336,57 @@ class TestMStep:
             assert updated_p.groups[new_pos].sigma == updated.groups[old_pos].sigma
 
 
+def block_exactness_cases():
+    """M-step inputs part way through fits, with and without exact zeros:
+    (spec, data, penalty, theta, eta)."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for example, censoring, lambda2 in ((1, 0.1, 1.0), (2, 0.2, 1.0), (3, 0.3, 60.0)):
+        scen = cw.builtin_scenario(example, censoring, seed=3)
+        cases.append((scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, lambda2)))
+    for L in (1, 2, 3):
+        spec, _, data = random_instance(rng, n=200, L=L)
+        cases += [(spec, data, cw.PenaltyConfig(0.3, 0.1)), (spec, data, cw.PenaltyConfig(0.3, 15.0))]
+    for spec, data, penalty in cases:
+        for maps in (1, 4):
+            config = cw.FitConfig(max_em_iters=maps, compute_std_errors=False)
+            theta = cw.fit_em(spec, data, penalty, config).theta_hat
+            yield spec, data, penalty, theta, cw.e_step(theta, spec, data)
+
+
+class TestMStepBlocksAreExact:
+    def test_location_block_meets_lasso_kkt(self):
+        # The (alpha, beta) block maximizes the penalized group objective at
+        # the sigma it was solved at: zero intercept gradient, gradient
+        # lambda2 * sign(beta_j) on nonzero coefficients and at most lambda2
+        # in size on exact zeros; relative to n, the gradient's scale.
+        zeros = 0
+        for spec, data, penalty, theta, eta in block_exactness_cases():
+            updated = cw.m_step(theta, spec, data, eta, penalty, cw.FitConfig())
+            for l, (old, new) in enumerate(zip(theta.groups, updated.groups)):
+                at = theta.with_group(l, cw.GroupParams(new.alpha, new.beta, old.sigma))
+                grad = cw.q_gradients(l, at, spec, data, eta, penalty)
+                zero = new.beta == 0.0
+                zeros += int(np.count_nonzero(zero))
+                residual = np.concatenate([
+                    [grad.alpha],
+                    grad.beta[~zero],
+                    np.maximum(np.abs(grad.beta[zero]) - penalty.lambda2, 0.0),
+                ])
+                assert np.max(np.abs(residual)) <= 1e-8 * data.n
+        assert zeros > 0
+
+    def test_sigma_block_is_stationary(self):
+        floor = cw.FitConfig().sigma_floor
+        for spec, data, penalty, theta, eta in block_exactness_cases():
+            updated = cw.m_step(theta, spec, data, eta, penalty, cw.FitConfig())
+            for l, group in enumerate(updated.groups):
+                if group.sigma in (floor, 10.0):
+                    continue
+                grad = cw.q_gradients(l, updated, spec, data, eta, penalty)
+                assert abs(grad.sigma) <= 1e-9 * data.n
+
+
 class TestFitEM:
     def test_example_one_replica_recovers_truth(self):
         scen = cw.builtin_scenario(1, 0.0, seed=5)
@@ -593,6 +644,19 @@ class TestSquarem:
         assert fit.n_iters >= 1
         if lambda1 > 0:
             assert fit.final_penalized == -math.inf or any("stalled" in w for w in fit.warnings)
+        if not math.isfinite(fit.final_penalized):
+            assert not fit.converged
+
+    def test_far_start_reaches_the_mle(self):
+        # From alpha = -700 the first gradient is of order e^700; the fit must
+        # still reach the MLE rather than stop far from it as converged.
+        spec, data, start = one_group_far_start(-700.0)
+        config = cw.FitConfig(compute_std_errors=False)
+        reference = cw.fit_em(spec, data, cw.PenaltyConfig(), config)
+        fit = cw.fit_em(spec, data, cw.PenaltyConfig(), config, theta_init=start)
+        assert fit.converged
+        assert np.max(np.abs(fit.theta_hat.flatten() - reference.theta_hat.flatten())) < 1e-6
+        assert fit.final_loglik == pytest.approx(reference.final_loglik, abs=1e-6)
 
     def test_far_start_change_norm_is_quiet(self):
         spec, data, start = one_group_far_start(-700.0)
