@@ -90,6 +90,27 @@ def _objects(value, what: str) -> list:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool); ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool); ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what: str) -> list:
+    """``value`` if it is a JSON list; ConfigError otherwise."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what}: expected a list, got {value!r}")
+    return value
+
+
 def _check_version(obj: dict, what: str):
     version = obj.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
@@ -190,23 +211,32 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
         "scenario",
     )
     groups, params = [], []
-    for g, entry in enumerate(obj["groups"]):
-        _require_keys(entry, {"indices", "alpha", "beta", "sigma"}, set(), f"scenario group {g}")
+    for g, entry in enumerate(_objects(obj["groups"], "scenario groups")):
+        what = f"scenario group {g}"
+        _require_keys(entry, {"indices", "alpha", "beta", "sigma"}, set(), what)
+        indices = [_integer(j, f"{what}: index") for j in _list(entry["indices"], what)]
+        beta = [_number(b, f"{what}: beta") for b in _list(entry["beta"], what)]
         try:
-            groups.append(GroupSpec(entry["indices"]))
-            params.append(GroupParams(entry["alpha"], entry["beta"], entry["sigma"]))
+            groups.append(GroupSpec(indices))
+            params.append(
+                GroupParams(
+                    _number(entry["alpha"], f"{what}: alpha"),
+                    beta,
+                    _number(entry["sigma"], f"{what}: sigma"),
+                )
+            )
         except SpecError as exc:
-            raise ConfigError(f"scenario group {g}: {exc}") from None
+            raise ConfigError(f"{what}: {exc}") from None
     p = obj.get("p")
     if p is None:
         p = 1 + max((g.covariate_indices[-1] for g in groups if g.covariate_indices), default=-1)
     try:
         return ScenarioSpec(
-            model=ModelSpec(groups, p=int(p)),
+            model=ModelSpec(groups, p=_integer(p, "scenario p")),
             truth=Theta(params),
-            n=int(obj["n"]),
-            target_censoring=float(obj["target_censoring"]),
-            seed=int(obj["seed"]),
+            n=_integer(obj["n"], "scenario n"),
+            target_censoring=_number(obj["target_censoring"], "scenario target_censoring"),
+            seed=_integer(obj["seed"], "scenario seed"),
         )
     except SpecError as exc:
         raise ConfigError(f"scenario: {exc}") from None

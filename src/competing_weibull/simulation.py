@@ -45,6 +45,8 @@ class ScenarioSpec:
             raise SpecError("scenario sample size must be positive")
         if not (0.0 <= self.target_censoring < 1.0):
             raise SpecError("target censoring must lie in [0, 1)")
+        if self.seed < 0:
+            raise SpecError(f"scenario seed must be nonnegative, got {self.seed}")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return ScenarioSpec(self.model, self.truth, self.n, self.target_censoring, seed)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import competing_weibull as cw
+
+# No deadline: a slow or busy machine must not fail an example on timing.
+# print_blob: a failure prints the blob that reproduces it.
+settings.register_profile("competing-weibull", deadline=None, print_blob=True)
+settings.load_profile("competing-weibull")
 
 
 @pytest.fixture(scope="session")

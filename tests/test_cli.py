@@ -107,6 +107,45 @@ class TestSimulate:
     def test_requires_exactly_one_source(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "abc"),
+            ("n", 2.5),
+            ("n", True),
+            ("seed", "s"),
+            ("seed", -1),
+            ("target_censoring", None),
+            ("groups", [5]),
+            ("beta", "x"),
+            ("indices", [0.5]),
+        ],
+        ids=[
+            "n-string",
+            "n-fraction",
+            "n-bool",
+            "seed-string",
+            "seed-negative",
+            "censoring-null",
+            "groups-not-objects",
+            "beta-string",
+            "indices-fraction",
+        ],
+    )
+    def test_malformed_scenario_values_exit_2(self, tmp_path, capsys, key, value):
+        group = {"indices": [0], "alpha": 0.0, "beta": [1.0], "sigma": 1.0}
+        scenario = {"groups": [group], "n": 10, "target_censoring": 0.0, "seed": 1}
+        if key in group:
+            group[key] = value
+        else:
+            scenario[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "data.csv"
+        assert run("simulate", "--scenario", path, "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import competing_weibull as cw
 from competing_weibull.metrics import default_time_grid
@@ -29,6 +32,59 @@ def harrell_pairs(risk, times, status):
                 den += 1
                 num += 1.0 if risk[i] > risk[j] else (0.5 if risk[i] == risk[j] else 0.0)
     return num / den if den else None
+
+
+def ipcw_pairs(risk, times, status):
+    """Brute-force IPCW concordance: each comparable pair weighted by 1/G(t_i-)^2."""
+    g = cw.kaplan_meier(times, 1 - np.asarray(status)).left_limit(times)
+    g = np.maximum(g, np.min(g[g > 0]) if np.any(g > 0) else 1.0)
+    num = den = 0.0
+    n = len(times)
+    for i in range(n):
+        if status[i] != 1:
+            continue
+        w = 1.0 / g[i] ** 2
+        for j in range(n):
+            if times[i] < times[j]:
+                den += w
+                num += w * (1.0 if risk[i] > risk[j] else (0.5 if risk[i] == risk[j] else 0.0))
+    return num / den if den else None
+
+
+def roc_by_cut(marker, times, status, horizon):
+    """Reference ROC: masked weight sums at every unique marker cut, O(n * unique).
+
+    Returns (fpr, tpr) or None for a horizon without cases or controls.
+    """
+    case = (times <= horizon) & (status == 1)
+    control = times > horizon
+    if not case.any() or not control.any():
+        return None
+    km = cw.kaplan_meier(times, 1 - status)
+    g_event = km.left_limit(times)
+    g_horizon = float(km.evaluate(horizon))
+    positive = np.concatenate([g_event[g_event > 0], [g_horizon] if g_horizon > 0 else []])
+    floor = float(np.min(positive))
+    w_case = np.where(case, 1.0 / np.maximum(g_event, floor), 0.0)
+    w_control = np.where(control, 1.0 / max(g_horizon, floor), 0.0)
+    fpr, tpr = [0.0], [0.0]
+    for cut in np.unique(marker)[::-1]:
+        chosen = marker >= cut
+        tpr.append(w_case[chosen].sum() / w_case.sum())
+        fpr.append(w_control[chosen].sum() / w_control.sum())
+    return np.asarray(fpr), np.asarray(tpr)
+
+
+@st.composite
+def tied_censored_samples(draw):
+    """Markers and times on a 0.1 grid (heavy ties), random censoring, a horizon among them."""
+    n = draw(st.integers(2, 60))
+    column = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    marker = np.asarray(draw(column)) / 10
+    times = np.asarray(draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))) / 10
+    status = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    horizon = float(times[draw(st.integers(0, n - 1))])
+    return marker, times, status, horizon
 
 
 class TestKaplanMeier:
@@ -184,6 +240,96 @@ class TestTimeDependentRoc:
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == pytest.approx(1.0) and curve.tpr[-1] == pytest.approx(1.0)
         assert curve.auc == pytest.approx(float(np.trapezoid(curve.tpr, curve.fpr)), abs=1e-12)
+
+
+class TestAgainstPairwiseReferences:
+    @settings(max_examples=200)
+    @given(tied_censored_samples())
+    def test_counts_and_sweep_match_references(self, sample):
+        marker, times, status, horizon = sample
+        for method, reference in (("harrell", harrell_pairs), ("ipcw", ipcw_pairs)):
+            expected = reference(marker, times, status)
+            if expected is None:
+                with pytest.warns(UserWarning):
+                    assert cw.concordance_index(marker, times, status, method=method) == 0.5
+                continue
+            value = cw.concordance_index(marker, times, status, method=method)
+            if method == "harrell":
+                assert value == expected
+            else:
+                assert abs(value - expected) <= 1e-12 * abs(expected)
+
+        expected_roc = roc_by_cut(marker, times, status, horizon)
+        if expected_roc is None:
+            with pytest.raises(cw.MetricError):
+                cw.time_dependent_roc(marker, times, status, horizon)
+            return
+        fpr, tpr = expected_roc
+        curve = cw.time_dependent_roc(marker, times, status, horizon)
+        assert curve.fpr.shape == fpr.shape
+        assert np.max(np.abs(curve.fpr - fpr)) <= 1e-12
+        assert np.max(np.abs(curve.tpr - tpr)) <= 1e-12
+        assert abs(curve.auc - np.trapezoid(tpr, fpr)) <= 1e-12
+        assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
+
+
+class TestInputChecks:
+    times = np.array([0.5, 0.8, 2.0, 3.0])
+    scores = np.array([9.0, 8.0, 1.0, 0.0])
+    status = np.array([1, 0, 1, 1])
+
+    def replaced(self, name, k, value):
+        arrays = {"scores": self.scores, "times": self.times, "status": self.status}
+        arrays[name] = arrays[name].astype(float)
+        arrays[name][k] = value
+        return arrays["scores"], arrays["times"], arrays["status"]
+
+    @pytest.mark.parametrize("method", ["harrell", "ipcw"])
+    def test_nan_risk_rejected(self, method):
+        with pytest.raises(cw.SpecError, match="risk"):
+            cw.concordance_index(*self.replaced("scores", 1, np.nan), method=method)
+
+    def test_nan_marker_rejected(self):
+        with pytest.raises(cw.SpecError, match="marker"):
+            cw.time_dependent_roc(*self.replaced("scores", 1, np.nan), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(cw.SpecError, match="time"):
+            cw.concordance_index(*self.replaced("times", 3, bad))
+        with pytest.raises(cw.SpecError, match="time"):
+            cw.time_dependent_roc(*self.replaced("times", 3, bad), 1.0)
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    def test_status_outside_zero_one_rejected(self, bad):
+        with pytest.raises(cw.SpecError, match="status"):
+            cw.concordance_index(*self.replaced("status", 2, bad))
+        with pytest.raises(cw.SpecError, match="status"):
+            cw.time_dependent_roc(*self.replaced("status", 2, bad), 1.0)
+
+
+class TestMemory:
+    def test_peak_stays_linear_at_n_4000(self):
+        # One n x n float matrix at n = 4000 is 128 MB; linear-memory metrics
+        # stay far below 16 MB.
+        rng = np.random.default_rng(29)
+        n = 4000
+        marker = rng.normal(size=n)
+        times = rng.exponential(size=n)
+        status = rng.integers(0, 2, size=n)
+        calls = [
+            lambda: cw.concordance_index(marker, times, status),
+            lambda: cw.concordance_index(marker, times, status, method="ipcw"),
+            lambda: cw.time_dependent_roc(marker, times, status, float(np.median(times))),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestIntegratedAuc:
