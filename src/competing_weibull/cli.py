@@ -10,7 +10,6 @@ is written atomically.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -54,14 +53,6 @@ def _setup_logging():
     )
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-
-
 def _parse_horizons(raw: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
@@ -81,7 +72,7 @@ def cmd_simulate(args) -> int:
     if (args.scenario is None) == (args.example is None):
         raise ConfigError("provide exactly one of --scenario or --example")
     if args.scenario is not None:
-        scenario = formats.scenario_from_json(_load_json(args.scenario))
+        scenario = formats.scenario_from_json(formats.read_json(args.scenario))
         if args.seed is not None:
             scenario = scenario.with_seed(args.seed)
     else:
@@ -123,7 +114,7 @@ def _sidecar(path: str, suffix: str) -> str:
 
 def cmd_fit(args) -> int:
     data, names = formats.read_dataset_csv(args.data)
-    spec = formats.model_spec_from_json(_load_json(args.spec), names)
+    spec = formats.model_spec_from_json(formats.read_json(args.spec), names)
     penalty = PenaltyConfig(lambda1=args.lambda1, lambda2=args.lambda2)
     config = FitConfig(
         epsilon=args.epsilon,
@@ -134,10 +125,8 @@ def cmd_fit(args) -> int:
     )
     theta_init = None
     if args.init is not None:
-        init_spec, theta_init, init_names = formats.fit_from_json(_load_json(args.init))
-        if init_names != names or [g.covariate_indices for g in init_spec.groups] != [
-            g.covariate_indices for g in spec.groups
-        ]:
+        init_spec, theta_init, init_names = formats.fit_from_json(formats.read_json(args.init))
+        if init_names != names or init_spec != spec:
             raise ConfigError("--init fit does not match the requested spec/data")
 
     result = fit_em(spec, data, penalty, config, theta_init=theta_init)
@@ -170,13 +159,17 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_predict(args) -> int:
-    spec, theta, names = formats.fit_from_json(_load_json(args.fit))
+def _fit_and_data(args):
+    """The ``--fit`` model and the ``--data`` set, whose columns must match."""
+    spec, theta, names = formats.fit_from_json(formats.read_json(args.fit))
     data, data_names = formats.read_dataset_csv(args.data)
     if data_names != names:
-        raise ConfigError(
-            f"data columns {data_names} do not match the fit's {names}"
-        )
+        raise ConfigError(f"data columns {data_names} do not match the fit's {names}")
+    return spec, theta, data
+
+
+def cmd_predict(args) -> int:
+    spec, theta, data = _fit_and_data(args)
     horizons = _parse_horizons(args.at) if args.at else []
 
     header = ["expected_time"]
@@ -201,12 +194,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec, theta, names = formats.fit_from_json(_load_json(args.fit))
-    data, data_names = formats.read_dataset_csv(args.data)
-    if data_names != names:
-        raise ConfigError(
-            f"data columns {data_names} do not match the fit's {names}"
-        )
+    spec, theta, data = _fit_and_data(args)
     horizons = (
         _parse_horizons(args.horizons)
         if args.horizons

@@ -78,8 +78,8 @@ class PenaltyConfig:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise SpecError("penalty weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2)):
+            raise SpecError("penalty weights must be finite and nonnegative")
 
 
 _NEWTON_ITERS = 40  # proximal Newton steps on (alpha, beta) per group update
@@ -102,7 +102,8 @@ class FitConfig:
     1e-3 is enough for large noisy data).  ``max_em_iters`` caps the number
     of EM maps (one E-step plus one M-step each); the SQUAREM extrapolations
     between them are not counted.  ``sigma_floor`` keeps every noise scale
-    bounded away from zero: the M-step keeps sigma in ``[sigma_floor, 10]``.
+    bounded away from zero: the M-step keeps sigma in ``[sigma_floor, 10]``,
+    so the floor must lie in (0, 10].
     ``n_starts > 1`` enables multi-start: additional starts jitter alpha and
     beta with Gaussian noise of scale 0.1 (seeded by ``seed``), and the
     start with the best final penalized objective wins.
@@ -117,12 +118,14 @@ class FitConfig:
     compute_std_errors: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise SpecError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise SpecError("epsilon must be positive and finite")
         if self.max_em_iters < 1 or self.n_starts < 1:
             raise SpecError("iteration counts must be positive")
-        if self.sigma_floor <= 0:
-            raise SpecError("sigma_floor must be positive")
+        if not 0 < self.sigma_floor <= _SIGMA_MAX:
+            raise SpecError(f"sigma_floor must lie in (0, {_SIGMA_MAX:g}]")
+        if self.seed < 0:
+            raise SpecError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

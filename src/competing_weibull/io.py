@@ -5,6 +5,13 @@ structured configuration and results travel as JSON with a
 ``format_version`` field.  All writers are atomic (temp file + rename) and
 all JSON is serialized canonically (sorted keys, two-space indent, trailing
 newline) so that reading a file and re-serializing it is byte-identical.
+
+Every input is checked here.  A malformed one raises ConfigError naming the
+CSV file and line or the JSON key path: text that is not UTF-8, invalid JSON,
+or a JSON document that does not match its format's schema (``_SCENARIO``,
+``_MODEL_SPEC`` or ``_FIT``, all checked by :func:`_checked`), that is, a
+missing or unknown key or a value of the wrong JSON type.  The model classes
+then check the values themselves (positive sigma, increasing indices, ...).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "FORMAT_VERSION",
     "atomic_write_text",
     "canonical_json",
+    "read_json",
     "write_csv",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -73,48 +81,88 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
     atomic_write_text(path, buffer.getvalue())
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], what: str):
-    keys = set(obj)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise ConfigError(f"{what}: missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+def read_json(path: str):
+    """Parse a JSON file; text that is not UTF-8 or not JSON is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not a UTF-8 JSON document ({exc})") from None
 
 
-def _objects(value, what: str) -> list:
-    """``value`` if it is a list of JSON objects; ConfigError otherwise."""
-    if not (isinstance(value, list) and all(isinstance(entry, dict) for entry in value)):
-        raise ConfigError(f"{what} must be a list of objects")
-    return value
+# A schema is ``int`` (a JSON integer, not a bool), ``float`` (a JSON number,
+# not a bool), ``str``, ``object`` (anything), a one-element list (a JSON list
+# of that schema) or a dict (exactly these keys; a key ending in ``?`` is
+# optional).
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+_GROUP = {"alpha": float, "beta": [float], "sigma": float}
+_SCENARIO = {
+    "format_version?": int,
+    "groups": [{"indices": [int], **_GROUP}],
+    "n": int,
+    "p?": int,
+    "target_censoring": float,
+    "seed": int,
+}
+_MODEL_SPEC = {"format_version?": int, "groups": [{"covariates": [str]}]}
+_FIT = {
+    "format_version?": int,
+    "covariate_names": [str],
+    "groups": [{"covariates": [str], **_GROUP}],
+    "std_errors?": object,
+    "converged?": object,
+    "n_iters?": object,
+    "final_loglik?": object,
+    "penalty?": object,
+    "warnings?": object,
+}
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer (not a bool); ConfigError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
+def _checked(value, schema, where: str):
+    """``value`` if it matches ``schema``, with every ``float`` a Python float.
+
+    A JSON ``0`` where the schema says ``float`` reads as ``0.0``, so a value
+    written back out keeps its float form.
+
+    A mismatch is a ConfigError naming the path, e.g.
+    ``fit.groups[0].alpha must be a number, got 'abc'``.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        keys = {key.rstrip("?"): key for key in schema}
+        missing = sorted(k for k, key in keys.items() if k == key and k not in value)
+        unknown = sorted(set(value) - set(keys))
+        if missing:
+            raise ConfigError(f"{where}: missing keys {missing}")
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {unknown}")
+        return {k: _checked(v, schema[keys[k]], f"{where}.{k}") for k, v in value.items()}
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_checked(v, schema[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if schema is object:
+        return value
+    types, name = _SCALARS[schema]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return float(value) if schema is float else value
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number (not a bool); ConfigError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _list(value, what: str) -> list:
-    """``value`` if it is a JSON list; ConfigError otherwise."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what}: expected a list, got {value!r}")
-    return value
-
-
-def _check_version(obj: dict, what: str):
+def _document(obj, schema, what: str) -> dict:
+    """``obj`` checked against a top-level format ``schema`` and its version."""
+    obj = _checked(obj, schema, what)
     version = obj.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ConfigError(f"{what}: unsupported format_version {version}")
+    return obj
+
+
+def _params_json(params: GroupParams) -> dict:
+    """One group's ``_GROUP`` fields."""
+    return {"alpha": params.alpha, "beta": [float(b) for b in params.beta], "sigma": params.sigma}
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +198,8 @@ def _parse_dataset_csv(path: str, reader) -> tuple[Dataset, list[str]]:
             f"{path}: header must start with 'time,status', got {header[:2]}"
         )
     names = header[2:]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{path}: covariate column names {names} are not unique")
     times, status, rows = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -185,12 +235,7 @@ def scenario_to_json(scenario: ScenarioSpec) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "groups": [
-            {
-                "indices": list(group.covariate_indices),
-                "alpha": params.alpha,
-                "beta": [float(b) for b in params.beta],
-                "sigma": params.sigma,
-            }
+            {"indices": list(group.covariate_indices), **_params_json(params)}
             for group, params in zip(scenario.model.groups, scenario.truth.groups)
         ],
         "n": scenario.n,
@@ -201,42 +246,22 @@ def scenario_to_json(scenario: ScenarioSpec) -> dict:
 
 
 def scenario_from_json(obj: dict) -> ScenarioSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario JSON must be an object")
-    _check_version(obj, "scenario")
-    _require_keys(
-        obj,
-        {"groups", "n", "target_censoring", "seed"},
-        {"format_version", "p"},
-        "scenario",
-    )
+    obj = _document(obj, _SCENARIO, "scenario")
     groups, params = [], []
-    for g, entry in enumerate(_objects(obj["groups"], "scenario groups")):
-        what = f"scenario group {g}"
-        _require_keys(entry, {"indices", "alpha", "beta", "sigma"}, set(), what)
-        indices = [_integer(j, f"{what}: index") for j in _list(entry["indices"], what)]
-        beta = [_number(b, f"{what}: beta") for b in _list(entry["beta"], what)]
+    for g, entry in enumerate(obj["groups"]):
         try:
-            groups.append(GroupSpec(indices))
-            params.append(
-                GroupParams(
-                    _number(entry["alpha"], f"{what}: alpha"),
-                    beta,
-                    _number(entry["sigma"], f"{what}: sigma"),
-                )
-            )
+            groups.append(GroupSpec(entry["indices"]))
+            params.append(GroupParams(entry["alpha"], entry["beta"], entry["sigma"]))
         except SpecError as exc:
-            raise ConfigError(f"{what}: {exc}") from None
-    p = obj.get("p")
-    if p is None:
-        p = 1 + max((g.covariate_indices[-1] for g in groups if g.covariate_indices), default=-1)
+            raise ConfigError(f"scenario.groups[{g}]: {exc}") from None
+    p = obj.get("p", 1 + max((j for g in groups for j in g.covariate_indices), default=-1))
     try:
         return ScenarioSpec(
-            model=ModelSpec(groups, p=_integer(p, "scenario p")),
+            model=ModelSpec(groups, p=p),
             truth=Theta(params),
-            n=_integer(obj["n"], "scenario n"),
-            target_censoring=_number(obj["target_censoring"], "scenario target_censoring"),
-            seed=_integer(obj["seed"], "scenario seed"),
+            n=obj["n"],
+            target_censoring=obj["target_censoring"],
+            seed=obj["seed"],
         )
     except SpecError as exc:
         raise ConfigError(f"scenario: {exc}") from None
@@ -247,32 +272,31 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 
+def _model_spec(groups: list, names: Sequence[str], what: str) -> ModelSpec:
+    """Resolve each group's ``covariates`` names to indices into ``names``."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{what}: covariate names {list(names)} are not unique")
+    index_of = {name: j for j, name in enumerate(names)}
+    specs = []
+    for g, entry in enumerate(groups):
+        unknown = [name for name in entry["covariates"] if name not in index_of]
+        if unknown:
+            raise ConfigError(
+                f"{what}.groups[{g}]: covariates {unknown} not in data columns {list(names)}"
+            )
+        try:
+            specs.append(GroupSpec(sorted(index_of[name] for name in entry["covariates"])))
+        except SpecError as exc:
+            raise ConfigError(f"{what}.groups[{g}]: {exc}") from None
+    try:
+        return ModelSpec(specs, p=len(names))
+    except SpecError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def model_spec_from_json(obj: dict, covariate_names: Sequence[str]) -> ModelSpec:
     """Resolve a fit-spec JSON against the CSV header's covariate names."""
-    if not isinstance(obj, dict):
-        raise ConfigError("model spec JSON must be an object")
-    _check_version(obj, "model spec")
-    _require_keys(obj, {"groups"}, {"format_version"}, "model spec")
-    index_of = {name: j for j, name in enumerate(covariate_names)}
-    groups = []
-    for g, entry in enumerate(_objects(obj["groups"], "model spec groups")):
-        _require_keys(entry, {"covariates"}, set(), f"model spec group {g}")
-        indices = []
-        for name in entry["covariates"]:
-            if name not in index_of:
-                raise ConfigError(
-                    f"model spec group {g}: covariate {name!r} not in data columns "
-                    f"{list(covariate_names)}"
-                )
-            indices.append(index_of[name])
-        try:
-            groups.append(GroupSpec(sorted(indices)))
-        except SpecError as exc:
-            raise ConfigError(f"model spec group {g}: {exc}") from None
-    try:
-        return ModelSpec(groups, p=len(covariate_names))
-    except SpecError as exc:
-        raise ConfigError(f"model spec: {exc}") from None
+    return _model_spec(_document(obj, _MODEL_SPEC, "spec")["groups"], covariate_names, "spec")
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +321,7 @@ def fit_to_json(
         "groups": [
             {
                 "covariates": [covariate_names[j] for j in group.covariate_indices],
-                "alpha": params.alpha,
-                "beta": [float(b) for b in params.beta],
-                "sigma": params.sigma,
+                **_params_json(params),
             }
             for group, params in zip(spec.groups, theta.groups)
         ],
@@ -314,45 +336,18 @@ def fit_to_json(
 
 def fit_from_json(obj: dict) -> tuple[ModelSpec, Theta, list[str]]:
     """Rebuild (spec, theta, covariate names) from a fit JSON object."""
-    if not isinstance(obj, dict):
-        raise ConfigError("fit JSON must be an object")
-    _check_version(obj, "fit")
-    _require_keys(
-        obj,
-        {"covariate_names", "groups"},
-        {
-            "format_version",
-            "std_errors",
-            "converged",
-            "n_iters",
-            "final_loglik",
-            "penalty",
-            "warnings",
-        },
-        "fit",
-    )
-    names = obj["covariate_names"]
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise ConfigError("fit JSON: covariate_names must be a list of strings")
-    groups = _objects(obj["groups"], "fit JSON groups")
+    obj = _document(obj, _FIT, "fit")
+    names, groups = obj["covariate_names"], obj["groups"]
+    spec = _model_spec(groups, names, "fit")
+    params = []
     for g, entry in enumerate(groups):
-        _require_keys(entry, {"covariates", "alpha", "beta", "sigma"}, set(), f"fit group {g}")
-    spec = model_spec_from_json({"groups": [{"covariates": g["covariates"]} for g in groups]}, names)
-    index_of = {name: j for j, name in enumerate(names)}
-    try:
-        params = []
-        for g in groups:
-            beta = list(g["beta"])
-            if len(beta) != len(g["covariates"]):
-                raise ConfigError("fit JSON: beta length must match covariates")
-            # Betas are stored in the listed covariate order; realign to the
-            # sorted column order the model uses internally.
-            order = np.argsort([index_of[name] for name in g["covariates"]], kind="stable")
-            params.append(
-                GroupParams(g["alpha"], [beta[k] for k in order], g["sigma"])
-            )
-        theta = Theta(params)
-        theta.validate_against(spec)
-    except (SpecError, KeyError) as exc:
-        raise ConfigError(f"fit JSON: {exc}") from None
-    return spec, theta, names
+        if len(entry["beta"]) != len(entry["covariates"]):
+            raise ConfigError(f"fit.groups[{g}]: beta length must match covariates")
+        # Betas are stored in the listed covariate order; realign to the
+        # sorted column order the model uses internally.
+        beta = [b for _, b in sorted(zip(map(names.index, entry["covariates"]), entry["beta"]))]
+        try:
+            params.append(GroupParams(entry["alpha"], beta, entry["sigma"]))
+        except SpecError as exc:
+            raise ConfigError(f"fit.groups[{g}]: {exc}") from None
+    return spec, Theta(params), names

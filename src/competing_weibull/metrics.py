@@ -125,15 +125,15 @@ def kaplan_meier(times, status) -> StepSurvival:
 def _survival_inputs(scores, times, status, what: str):
     """Validated (scores, times, event) vectors for a concordance or ROC call.
 
-    Every score and time must be finite and every status exactly 0 or 1: a
-    NaN has no place in a ranking, and any other status would be neither an
-    event nor a censoring.
+    The vectors must be nonempty, every score and time finite and every
+    status exactly 0 or 1: a NaN has no place in a ranking, and any other
+    status would be neither an event nor a censoring.
     """
     scores = np.asarray(scores, dtype=float)
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
-    if not (scores.shape == times.shape == status.shape) or scores.ndim != 1:
-        raise SpecError(f"{what}, times, and status must be equal-length vectors")
+    if not (scores.shape == times.shape == status.shape) or scores.ndim != 1 or not scores.size:
+        raise SpecError(f"{what}, times, and status must be equal-length nonempty vectors")
     if not np.all(np.isfinite(scores)):
         raise SpecError(f"every {what} must be finite")
     if not np.all(np.isfinite(times)):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import logging
 import math
@@ -6,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import competing_weibull as cw
 from competing_weibull.cli import main
@@ -256,6 +260,39 @@ class TestFitPredictEvaluate:
         assert run("predict", "--fit", bad, "--data", data, "--at", "1", "--out", out) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "abc"),
+            ("alpha", None),
+            ("alpha", True),
+            ("alpha", [1.0]),
+            ("beta", 5),
+            ("beta", ["x"]),
+            ("beta", None),
+            ("sigma", True),
+            ("sigma", "1"),
+            ("sigma", None),
+            ("covariates", 5),
+            ("covariates", [["x1"]]),
+            ("format_version", 1.0),
+            ("format_version", True),
+        ],
+    )
+    def test_predict_rejects_malformed_fit_values(self, pipeline, tmp_path, capsys, key, value):
+        tmp, data, spec, fit = pipeline
+        payload = read_json(fit)
+        if key == "format_version":
+            payload[key] = value
+        else:
+            payload["groups"][0][key] = value
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        assert run("predict", "--fit", bad, "--data", data, "--at", "1", "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_report_and_curves(self, pipeline):
         tmp, data, spec, fit = pipeline
         report = tmp / "report.json"
@@ -475,3 +512,184 @@ class TestFitErrors:
         )
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "predict"])
+    def test_non_utf8_json_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x1\n1.0,1,0.5\n2.0,1,-0.3\n")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"groups": [{"covariates": ["x1\xff"]}]}')
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ("--scenario", bad),
+            "fit": ("--data", data, "--spec", bad),
+            "predict": ("--fit", bad, "--data", data),
+        }[command]
+        assert run(command, *argv, "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda1", "nan"),
+            ("--lambda2", "nan"),
+            ("--sigma-floor", "nan"),
+            ("--epsilon", "nan"),
+            ("--lambda1", "inf"),
+            ("--epsilon", "inf"),
+            ("--sigma-floor", "20"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_invalid_fit_settings_exit_2(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(2)
+        rows = "\n".join(f"{t},1,{x}" for t, x in zip(rng.exponential(1, 30), rng.normal(size=30)))
+        data.write_text("time,status,x1\n" + rows + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        out = tmp_path / "fit.json"
+        argv = ("fit", "--data", data, "--spec", spec, "--starts", 2, flag, value, "--out", out)
+        assert run(*argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_covariate_names_rejected(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x1,x1\n1.0,1,0.5,7.0\n2.0,1,-0.3,8.0\n3.0,0,0.1,9.0\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", data, "--spec", spec, "--out", out) == 2
+        assert not out.exists()
+        fit = {
+            "covariate_names": ["x1", "x1"],
+            "groups": [{"covariates": ["x1"], "alpha": 0.0, "beta": [1.0], "sigma": 1.0}],
+        }
+        with pytest.raises(cw.ConfigError, match="not unique"):
+            fit_from_json(fit)
+
+
+_ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0]
+_MUTATIONS = ["drop", "add", "replace", "truncate", "0xff"]
+
+
+def _containers(node):
+    """Every JSON object and list in ``node``, the root first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+def _mutated_json(data, text: str, kind: str) -> bytes:
+    """``text`` with one key or item dropped, added or replaced by an odd value.
+
+    The document sits in a one-item list, so it can itself be dropped (an
+    empty file), replaced, or followed by a second value (invalid JSON).
+    """
+    holder = [json.loads(text)]
+    node = data.draw(st.sampled_from([n for n in _containers(holder) if n or kind == "add"]))
+    odd = data.draw(st.sampled_from(_ODD_VALUES))
+    if kind == "add":
+        if isinstance(node, dict):
+            node["extra"] = odd
+        else:
+            node.append(odd)
+    else:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = odd
+    return "".join(map(json.dumps, holder)).encode()
+
+
+def _mutated_csv(data, text: str, kind: str) -> bytes:
+    """``text`` with a column (picked in the header) or one cell dropped,
+    added or replaced by an odd value."""
+    rows = list(csv.reader(io.StringIO(text)))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    if kind == "drop":
+        for row in rows if i == 0 else [rows[i]]:
+            del row[j]
+    elif kind == "add":
+        for row in rows if i == 0 else [rows[i]]:
+            row.append("extra" if row is rows[0] else "0")
+    else:
+        rows[i][j] = json.dumps(data.draw(st.sampled_from(_ODD_VALUES))).strip('"')
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A valid scenario, data CSV, model spec and fit, all small."""
+    tmp = tmp_path_factory.mktemp("contract")
+    groups = [
+        {"indices": [0], "alpha": 0.5, "beta": [1.0], "sigma": 1.0},
+        {"indices": [1], "alpha": 0.8, "beta": [-0.5], "sigma": 0.7},
+    ]
+    scenario = {"format_version": 1, "groups": groups, "n": 40, "p": 2, "target_censoring": 0.2, "seed": 1}
+    (tmp / "scenario.json").write_text(canonical_json(scenario))
+    (tmp / "spec.json").write_text(json.dumps({"groups": [{"covariates": ["x1"]}, {"covariates": ["x2"]}]}))
+    assert run("simulate", "--scenario", tmp / "scenario.json", "--out", tmp / "data.csv") == 0
+    fit_argv = ("fit", "--data", tmp / "data.csv", "--spec", tmp / "spec.json", "--max-iters", 5)
+    assert run(*fit_argv, "--out", tmp / "fit.json") == 0
+    return tmp
+
+
+class TestInputContract:
+    @settings(max_examples=500)
+    @given(
+        target=st.sampled_from(["scenario.json", "spec.json", "fit.json", "data.csv"]),
+        kind=st.sampled_from(_MUTATIONS),
+        command=st.sampled_from(["fit", "predict", "evaluate"]),
+        data=st.data(),
+    )
+    def test_mutated_inputs_keep_the_exit_code_contract(
+        self, contract_inputs, tmp_path_factory, target, kind, command, data
+    ):
+        # Every malformed input exits 0, 2, 3 or 4, never with a traceback,
+        # and a failed command leaves no output behind.
+        valid = contract_inputs
+        text = (valid / target).read_text()
+        raw = text.encode()
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "0xff":
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        elif target == "data.csv":
+            raw = _mutated_csv(data, text, kind)
+        else:
+            raw = _mutated_json(data, text, kind)
+        work = tmp_path_factory.mktemp("mutant")
+        mutant = work / target
+        mutant.write_bytes(raw)
+        out = work / "out"
+        out.mkdir()
+        inputs = {name: valid / name for name in ("scenario.json", "spec.json", "fit.json", "data.csv")}
+        inputs[target] = mutant
+        if target == "scenario.json":
+            argv = ("simulate", "--scenario", inputs[target], "--out", out / "data.csv")
+        elif command == "fit" or target == "spec.json":
+            argv = ("fit", "--data", inputs["data.csv"], "--spec", inputs["spec.json"], "--max-iters", 5)
+            if target == "fit.json":
+                argv += ("--init", inputs["fit.json"])
+            argv += ("--out", out / "fit.json")
+        elif command == "predict":
+            argv = ("predict", "--fit", inputs["fit.json"], "--data", inputs["data.csv"], "--at", 1)
+            argv += ("--out", out / "pred.csv")
+        else:
+            argv = ("evaluate", "--fit", inputs["fit.json"], "--data", inputs["data.csv"])
+            argv += ("--out", out / "report.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or not os.listdir(out)

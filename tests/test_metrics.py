@@ -307,6 +307,12 @@ class TestInputChecks:
         with pytest.raises(cw.SpecError, match="status"):
             cw.time_dependent_roc(*self.replaced("status", 2, bad), 1.0)
 
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(cw.SpecError, match="nonempty"):
+            cw.concordance_index([], [], [])
+        with pytest.raises(cw.SpecError, match="nonempty"):
+            cw.time_dependent_roc([], [], [], 1.0)
+
 
 class TestMemory:
     def test_peak_stays_linear_at_n_4000(self):
