@@ -53,6 +53,16 @@ def _setup_logging():
     )
 
 
+def _json_input(parse, path: str, *args):
+    """``parse`` applied to the JSON document at ``path``; a ConfigError it
+    raises is prefixed with the path."""
+    document = formats.read_json(path)
+    try:
+        return parse(document, *args)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _parse_horizons(raw: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
@@ -72,7 +82,7 @@ def cmd_simulate(args) -> int:
     if (args.scenario is None) == (args.example is None):
         raise ConfigError("provide exactly one of --scenario or --example")
     if args.scenario is not None:
-        scenario = formats.scenario_from_json(formats.read_json(args.scenario))
+        scenario = _json_input(formats.scenario_from_json, args.scenario)
         if args.seed is not None:
             scenario = scenario.with_seed(args.seed)
     else:
@@ -114,7 +124,7 @@ def _sidecar(path: str, suffix: str) -> str:
 
 def cmd_fit(args) -> int:
     data, names = formats.read_dataset_csv(args.data)
-    spec = formats.model_spec_from_json(formats.read_json(args.spec), names)
+    spec = _json_input(formats.model_spec_from_json, args.spec, names)
     penalty = PenaltyConfig(lambda1=args.lambda1, lambda2=args.lambda2)
     config = FitConfig(
         epsilon=args.epsilon,
@@ -125,7 +135,7 @@ def cmd_fit(args) -> int:
     )
     theta_init = None
     if args.init is not None:
-        init_spec, theta_init, init_names = formats.fit_from_json(formats.read_json(args.init))
+        init_spec, theta_init, init_names = _json_input(formats.fit_from_json, args.init)
         if init_names != names or init_spec != spec:
             raise ConfigError("--init fit does not match the requested spec/data")
 
@@ -149,7 +159,7 @@ def cmd_fit(args) -> int:
     formats.write_csv(eta_path, header, [eta + [int(c)] for eta, c in rows])
 
     if not result.converged:
-        log.warning("EM did not converge within %d EM maps", result.n_iters)
+        log.warning("EM did not converge within %d EM maps and Newton steps", result.n_iters)
     log.info("wrote %s and %s (loglik %.6f)", args.out, eta_path, result.final_loglik)
     return EXIT_OK
 
@@ -161,7 +171,7 @@ def cmd_fit(args) -> int:
 
 def _fit_and_data(args):
     """The ``--fit`` model and the ``--data`` set, whose columns must match."""
-    spec, theta, names = formats.fit_from_json(formats.read_json(args.fit))
+    spec, theta, names = _json_input(formats.fit_from_json, args.fit)
     data, data_names = formats.read_dataset_csv(args.data)
     if data_names != names:
         raise ConfigError(f"data columns {data_names} do not match the fit's {names}")
@@ -290,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--spec", required=True, help="model spec JSON (covariate-name groups)")
     fit.add_argument("--lambda1", type=float, default=0.0, help="intercept penalty weight")
     fit.add_argument("--lambda2", type=float, default=0.0, help="coefficient lasso weight")
-    fit.add_argument("--epsilon", type=float, default=1e-6, help="EM stopping tolerance")
-    fit.add_argument("--max-iters", type=int, default=2000, help="EM budget, in EM maps (SQUAREM extrapolations not counted)")
+    fit.add_argument("--epsilon", type=float, default=1e-6, help="stopping tolerance on the move of one EM map or Newton step")
+    fit.add_argument("--max-iters", type=int, default=2000, help="budget of EM maps and Newton steps together (SQUAREM extrapolations not counted)")
     fit.add_argument("--sigma-floor", type=float, default=0.01, help="lower bound on sigma")
     fit.add_argument("--starts", type=int, default=1, help="number of multi-start runs")
     fit.add_argument("--seed", type=int, default=0, help="seed for multi-start jitter")

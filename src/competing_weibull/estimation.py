@@ -14,10 +14,13 @@ per group, i.e. the penalized expected complete log-likelihood.
 
 The outer loop is SQUAREM (Varadhan & Roland 2008) with the S3 step length:
 two EM maps, an extrapolated point that is kept only when it does not lower
-the penalized objective, then one more map from it, so every returned point
-is an M-step output.  Each EM map evaluates the model once; standard errors
-differentiate the analytic score, which by Fisher's identity is the gradient
-of Q with eta held at the winning probabilities of theta itself.
+the penalized objective, then one more map from it.  Once a map moves theta
+by less than ``_NEWTON_START``, Newton steps on the penalized observed
+log-likelihood take over on the active set (every alpha, every sigma inside
+its bounds, every nonzero beta); a step that fails a safeguard hands the fit
+back to EM.  The Hessian is the closed-form observed information (Louis
+1982), which also gives the standard errors.  Each EM map and each Newton
+step evaluates the model once.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ _SIGMA_ITERS = 100  # Newton or bisection steps on 1/sigma per group update
 _SIGMA_TOL = 1e-12  # relative Newton step on 1/sigma that ends the search
 _SIGMA_MAX = 10.0  # upper bound of sigma; sigma_floor is the lower
 _JITTER_SCALE = 0.1  # noise scale of the alpha/beta jitter of extra starts
-_SE_REL_STEP = 1e-5  # score-Jacobian step for theta_j, times 1 + |theta_j|
+_NEWTON_START = 0.1  # an EM map that moves theta less than this starts Newton steps
+_NEWTON_RETRY = 10  # EM maps before Newton is tried again on an unchanged zero set
+_INFO_ROWS = 4096  # rows per block of the observed information's reductions
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,17 @@ class FitConfig:
     """EM controls.
 
     ``epsilon`` is the stopping tolerance on the Euclidean norm of the
-    parameter change made by one EM map (1e-6 suits simulation-scale fits;
-    1e-3 is enough for large noisy data).  ``max_em_iters`` caps the number
-    of EM maps (one E-step plus one M-step each); the SQUAREM extrapolations
-    between them are not counted.  ``sigma_floor`` keeps every noise scale
-    bounded away from zero: the M-step keeps sigma in ``[sigma_floor, 10]``,
-    so the floor must lie in (0, 10].
+    parameter change made by one EM map or one Newton step (1e-6 suits
+    simulation-scale fits; 1e-3 is enough for large noisy data).
+    ``max_em_iters`` caps the number of EM maps (one E-step plus one M-step
+    each) and Newton steps together; the SQUAREM extrapolations between maps
+    are not counted.  ``sigma_floor`` keeps every noise scale bounded away
+    from zero: the M-step keeps sigma in ``[sigma_floor, 10]``, so the floor
+    must lie in (0, 10].
     ``n_starts > 1`` enables multi-start: additional starts jitter alpha and
     beta with Gaussian noise of scale 0.1 (seeded by ``seed``), and the
     start with the best final penalized objective wins.
-    ``compute_std_errors`` runs :func:`standard_errors` on the winner.
+    ``compute_std_errors`` reports :func:`standard_errors` for the winner.
     """
 
     epsilon: float = 1e-6
@@ -137,10 +143,15 @@ class FitResult:
     censoring time rather than an event time.  ``std_errors`` follows the
     flattened parameter layout of :meth:`Theta.flatten` and is None when the
     observed information could not be inverted (see ``warnings``).
-    ``n_iters`` counts EM maps; the traces hold the start and then one entry
-    per map output, never an extrapolated point.  ``converged`` means the
-    last map moved theta by less than ``epsilon`` and the final penalized
-    objective is finite.
+    ``n_iters`` counts EM maps and Newton steps; the traces hold the start
+    and then one entry per map output or Newton step, never an extrapolated
+    point.  ``converged`` means the last map or Newton step moved theta by
+    less than ``epsilon`` and the final penalized objective is finite; after
+    a Newton step it also needs the KKT conditions of the coordinates held
+    fixed.  ``kkt_residual`` is the largest violation of the penalized
+    objective's KKT conditions at ``theta_hat``: the absolute gradient on the
+    active set, the excess of ``|score|`` over ``lambda2`` at a zero beta,
+    and an inward gradient at a sigma bound.
     """
 
     theta_hat: Theta
@@ -152,6 +163,7 @@ class FitResult:
     converged: bool
     n_iters: int
     warnings: tuple[str, ...] = ()
+    kkt_residual: float = math.nan
 
     @property
     def final_loglik(self) -> float:
@@ -168,13 +180,30 @@ class FitResult:
 
 
 class _Workspace:
-    """Per-fit cache: log times, event mask, per-group design matrices."""
+    """Per-fit cache: log times, event mask, per-group design matrices, and
+    the positions of the parameters in the ``Theta.flatten`` layout.
+
+    ``canonical`` lists the flat positions group by group in the order of
+    the groups' covariate-index tuples, which :meth:`ModelSpec.check_identifiable`
+    makes unique: matrices are assembled and factored in that order, so
+    relabelled fits stay bit-identical.
+    """
 
     def __init__(self, spec: ModelSpec, data: Dataset):
         self.spec = spec
         self.log_t = np.log(data.times)
         self.delta = data.status.astype(float)
         self.x_groups = _group_designs(spec, data.covariates)
+        ends = np.cumsum([2 + g.n_covariates for g in spec.groups])
+        self.alpha_at = np.concatenate([[0], ends[:-1]])
+        self.sigma_at = ends - 1
+        self.is_beta = np.ones(ends[-1], dtype=bool)
+        self.is_beta[self.alpha_at] = self.is_beta[self.sigma_at] = False
+        self.order = sorted(range(spec.n_groups), key=lambda l: spec.groups[l].covariate_indices)
+        self.canonical = np.concatenate(
+            [np.arange(self.alpha_at[l], ends[l]) for l in self.order]
+        )
+        self.flat_order = np.argsort(self.canonical)
 
     def hazards(self, theta: Theta):
         """(n, L) per-group log hazards and cumulative hazards at the data times."""
@@ -192,6 +221,30 @@ def _loglik(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> float:
         return float(np.sum(_loglik_terms(work, log_haz, cumhaz)))
 
 
+def _loglik_and_winning(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray):
+    """:func:`_loglik` and ``_winning(log_haz)`` from one pass of row
+    reductions: the row maximum, the shifted exponentials and their sorted
+    sum serve both, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.max(log_haz, axis=-1)
+        shifted = np.exp(log_haz - top[:, None])
+        total = _sorted_rowsum(shifted)
+        log_total = top + np.log(total)
+        loglik = float(np.sum(work.delta * log_total - _sorted_rowsum(cumhaz)))
+        return loglik, shifted / total[:, None]
+
+
+class _Point:
+    """A parameter vector with its cumulative hazards, log-likelihood,
+    winning probabilities and penalized objective: one kernel call."""
+
+    def __init__(self, work: _Workspace, theta: Theta, penalty: PenaltyConfig):
+        self.theta = theta
+        log_haz, self.cumhaz = work.hazards(theta)
+        self.loglik, self.eta = _loglik_and_winning(work, log_haz, self.cumhaz)
+        self.penalized = _penalized_loglik(self.loglik, theta, penalty)
+
+
 def _loglik_raw(work: _Workspace, theta: Theta) -> float:
     """Observed log-likelihood at theta; may be -inf for extreme parameters."""
     return _loglik(work, *work.hazards(theta))
@@ -206,6 +259,18 @@ def _intercept_penalty(alpha: float, lambda1: float) -> float:
         return lambda1 * math.exp(-alpha)
     except OverflowError:
         return math.inf
+
+
+def _no_worse(value: float, current: float) -> bool:
+    """Whether an objective ``value`` is not below ``current`` beyond rounding.
+
+    A value that is not finite passes only when it equals ``current``: while
+    the intercept penalty overflows, the objective is -inf before and after
+    a step.
+    """
+    return value == current or (
+        math.isfinite(value) and value >= current - 1e-12 * (1.0 + abs(current))
+    )
 
 
 def _penalized(q: float, alpha: float, beta: np.ndarray, penalty: PenaltyConfig) -> float:
@@ -329,23 +394,6 @@ def _location_gradient(x: np.ndarray, alpha: float, sigma: float, terms, lambda1
     return g_alpha, g_beta
 
 
-def _smooth_gradients(
-    work: _Workspace, l: int, alpha: float, sigma: float, terms, lambda1: float
-):
-    """Gradient of Q_l - lambda1 exp(-alpha) in (alpha, beta), plus dQ_l/dsigma.
-
-    ``terms`` are the arrays :func:`_q_group_values` returned at the same
-    (alpha, beta, sigma).
-    """
-    mu, cumhaz, weight = terms
-    g_alpha, g_beta = _location_gradient(work.x_groups[l], alpha, sigma, terms, lambda1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_sigma = float(
-            np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
-        ) / sigma**2
-    return g_alpha, g_beta, g_sigma
-
-
 def q_gradients(
     l: int,
     theta: Theta,
@@ -373,24 +421,82 @@ def q_gradients(
         sigma = sigma_floor
         clipped = True
     _, terms = _q_group_values(work, l, g.alpha, g.beta, sigma, eta[:, l])
-    g_alpha, g_beta, g_sigma = _smooth_gradients(
-        work, l, g.alpha, sigma, terms, penalty.lambda1
-    )
+    mu, cumhaz, weight = terms
+    g_alpha, g_beta = _location_gradient(work.x_groups[l], g.alpha, sigma, terms, penalty.lambda1)
     g_beta = g_beta - penalty.lambda2 * np.sign(g.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_sigma = float(
+            np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
+        ) / sigma**2
     return QGroupGradients(g_alpha, g_beta, g_sigma, sigma_clipped=clipped)
 
 
-def _score(work: _Workspace, theta: Theta) -> np.ndarray:
-    """Gradient of the observed log-likelihood in the ``Theta.flatten`` layout:
-    the unpenalized gradient of Q with eta held at ``e_step(theta)``."""
+def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, eta: np.ndarray):
+    """Score and observed information of the log-likelihood at ``theta`` in
+    the ``Theta.flatten`` layout, from the kernel's cumulative hazards and the
+    winning probabilities at ``theta`` (Louis 1982).
+
+    Per group, with z = (log T - mu) / sigma and a = [1, x, z + 1] / sigma,
+    the log hazard has gradient -a, the cumulative hazard H has gradient
+    -H (a - e / sigma) with e the unit vector of sigma, and w = delta * eta_l.
+    The score block is sum (H - w) a - e sum H / sigma, and the information
+    is sum delta (eta a)(eta a)' over all pairs of groups, with eta a the
+    stacked eta_l a_l, plus per group
+
+        sum (H - w) a a' - (e (sum w a)' + (sum w a) e') / sigma
+        + e e' sum (w - H) / sigma^2.
+
+    The reductions are numpy sums and einsums, not BLAS products, over
+    blocks of ``_INFO_ROWS`` rows laid out in the canonical group order, so
+    the result does not depend on the thread count or on the group
+    labelling, and its memory does not grow with n.  Entries that
+    overflow come out non-finite, quietly.
+    """
+    d = theta.n_params
+    score = np.zeros(d)
+    info = np.zeros((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, work.delta.shape[0], _INFO_ROWS):
+            rows = slice(start, start + _INFO_ROWS)
+            delta = work.delta[rows]
+            eta_a = np.empty((d, delta.shape[0]))  # a, then eta a, one row per parameter
+            pos = 0
+            for l in work.order:
+                g, x = theta.groups[l], work.x_groups[l][rows]
+                block = slice(pos, pos + x.shape[1] + 2)
+                pos = block.stop
+                a = eta_a[block]
+                a[0] = 1.0 / g.sigma
+                np.divide(x.T, g.sigma, out=a[1:-1])
+                z = (work.log_t[rows] - _group_mu(x, g.alpha, g.beta)) / g.sigma
+                a[-1] = (z + 1.0) / g.sigma
+                h, w = cumhaz[rows, l], delta * eta[rows, l]
+                excess = h - w
+                score[block] += np.einsum("ji,i->j", a, excess)
+                score[pos - 1] -= float(np.sum(h)) / g.sigma
+                own = np.einsum("ji,i,ki->jk", a, excess, a)
+                w_a = np.einsum("ji,i->j", a, w) / g.sigma
+                own[-1] -= w_a
+                own[:, -1] -= w_a
+                own[-1, -1] -= float(np.sum(excess)) / g.sigma**2
+                info[block, block] += own
+                a *= eta[rows, l]
+            info += np.einsum("ji,i,ki->jk", eta_a, delta, eta_a)
+    info = np.triu(info) + np.triu(info, 1).T
+    back = work.flat_order
+    return score[back], info[np.ix_(back, back)]
+
+
+def _observed_information(work: _Workspace, theta: Theta):
+    """Score and observed information (minus the Hessian of the observed
+    log-likelihood) at ``theta``, from one kernel call."""
     log_haz, cumhaz = work.hazards(theta)
-    weight = work.delta[:, None] * _winning(log_haz)
-    parts = []
-    for l, g in enumerate(theta.groups):
-        terms = (_group_mu(work.x_groups[l], g.alpha, g.beta), cumhaz[:, l], weight[:, l])
-        g_alpha, g_beta, g_sigma = _smooth_gradients(work, l, g.alpha, g.sigma, terms, 0.0)
-        parts += [[g_alpha], g_beta, [g_sigma]]
-    return np.concatenate(parts)
+    return _score_and_information(work, theta, cumhaz, _winning(log_haz))
+
+
+def _score(work: _Workspace, theta: Theta) -> np.ndarray:
+    """Gradient of the observed log-likelihood in the ``Theta.flatten`` layout."""
+    return _observed_information(work, theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +714,8 @@ def _update_group(
     beta) at the current sigma (:func:`_newton_step`), each step halved until
     the penalized group objective does not decrease, then the maximizer over
     sigma in ``[sigma_floor, _SIGMA_MAX]`` at the new (alpha, beta)
-    (:func:`_sigma_newton`).  Never decreases the penalized group objective;
+    (:func:`_sigma_newton`).  While ``lambda1 * exp(-alpha)`` overflows,
+    the step is +1 in alpha.  Never decreases the penalized group objective;
     ``stalled`` is set when a gradient is not finite or no halving is
     accepted.
 
@@ -626,19 +733,27 @@ def _update_group(
     current, terms = objective(state.alpha, state.beta)
     state.stalled = False
     for _ in range(_NEWTON_ITERS):
-        g_alpha, g_beta = _location_gradient(x, state.alpha, state.sigma, terms, penalty.lambda1)
-        grad = np.concatenate([[g_alpha], g_beta])
-        curv = _curvature(x, state.alpha, state.sigma, terms, penalty.lambda1)
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
-            state.stalled = True
-            break
-        step = _newton_step(curv, grad, state.beta, penalty.lambda2)
-        size = float(np.max(np.abs(step)))
-        if not math.isfinite(size):
-            state.stalled = True
-            break
-        if size <= _NEWTON_TOL * (1.0 + abs(state.alpha) + float(np.sum(np.abs(state.beta)))):
-            break
+        if math.isinf(_intercept_penalty(state.alpha, penalty.lambda1)):
+            # exp(-alpha) overflows, so the penalty dominates the model: take
+            # the limit of its own Newton step, which is +1 in alpha.
+            step = np.zeros(x.shape[1] + 1)
+            step[0] = 1.0
+        else:
+            g_alpha, g_beta = _location_gradient(
+                x, state.alpha, state.sigma, terms, penalty.lambda1
+            )
+            grad = np.concatenate([[g_alpha], g_beta])
+            curv = _curvature(x, state.alpha, state.sigma, terms, penalty.lambda1)
+            if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
+                state.stalled = True
+                break
+            step = _newton_step(curv, grad, state.beta, penalty.lambda2)
+            size = float(np.max(np.abs(step)))
+            if not math.isfinite(size):
+                state.stalled = True
+                break
+            if size <= _NEWTON_TOL * (1.0 + abs(state.alpha) + float(np.sum(np.abs(state.beta)))):
+                break
         length = 1.0
         for _ in range(_MAX_BACKTRACKS):
             # At unit length the new coefficients are the model's minimizer,
@@ -646,7 +761,7 @@ def _update_group(
             alpha_new = state.alpha + length * step[0]
             beta_new = state.beta + length * step[1:]
             value, new_terms = objective(alpha_new, beta_new)
-            if math.isfinite(value) and value >= current - 1e-12 * (1.0 + abs(current)):
+            if _no_worse(value, current):
                 break
             length *= 0.5
         else:
@@ -758,14 +873,14 @@ def _extrapolate(
     penalized_last: float,
     penalty: PenaltyConfig,
     sigma_floor: float,
-):
+) -> _Point | None:
     """SQUAREM's S3 step from theta0, theta1 = F(theta0), theta2 = F(theta1).
 
     With r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and a = -|r|/|v|,
-    the point is theta0 - 2a r + a^2 v (Varadhan & Roland 2008).  Returns it
-    with its kernel log hazards, or None when a >= -1 (the point would be
-    theta2), when it is not finite, puts a sigma below the floor, or has a
-    penalized objective that is not finite or is below theta2's.
+    the point is theta0 - 2a r + a^2 v (Varadhan & Roland 2008).  Returns it,
+    or None when a >= -1 (the point would be theta2), when it is not finite,
+    puts a sigma below the floor, or has a penalized objective that is not
+    finite or is below theta2's.
     """
     x0, x1, x2 = (theta.flatten() for theta in cycle)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -778,77 +893,210 @@ def _extrapolate(
         if not a < -1.0:
             return None
         x = x0 - 2.0 * a * r + a * a * v
-    sigma_at = np.cumsum([2 + g.beta.shape[0] for g in cycle[0].groups]) - 1
-    if not (np.all(np.isfinite(x)) and np.all(x[sigma_at] >= sigma_floor)):
+    if not (np.all(np.isfinite(x)) and np.all(x[work.sigma_at] >= sigma_floor)):
         return None
-    theta = Theta.from_flat(x, work.spec)
-    log_haz, cumhaz = work.hazards(theta)
-    value = _penalized_loglik(_loglik(work, log_haz, cumhaz), theta, penalty)
-    if not (math.isfinite(value) and value >= penalized_last):
+    point = _Point(work, Theta.from_flat(x, work.spec), penalty)
+    if not (math.isfinite(point.penalized) and point.penalized >= penalized_last):
         return None
-    return theta, log_haz
+    return point
 
 
-def _run_em(
-    work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta
-) -> FitResult:
-    """SQUAREM-accelerated EM from ``theta``.
+def _newton_system(
+    work: _Workspace,
+    theta: Theta,
+    score: np.ndarray,
+    info: np.ndarray,
+    penalty: PenaltyConfig,
+    sigma_floor: float,
+):
+    """Ascent gradient and negated Hessian of the penalized observed
+    objective at ``theta``, its active set, and the KKT residual per
+    coordinate.
+
+    The gradient is the score plus ``lambda1 exp(-alpha)`` on the alphas and
+    minus ``lambda2 sign(beta)`` on the betas; the negated Hessian is the
+    information plus ``lambda1 exp(-alpha)`` on the alpha diagonal.  The
+    active set is every alpha, every sigma strictly inside (sigma_floor,
+    _SIGMA_MAX) and every nonzero beta.  The residual is the absolute
+    gradient on the active set, the excess of ``|score|`` over lambda2 at a
+    zero beta, and the inward gradient at a sigma on a bound; it is not
+    finite when the score is not.
+    """
+    x = theta.flatten()
+    alphas, sigmas, betas = work.alpha_at, work.sigma_at, work.is_beta
+    pull = np.array([_intercept_penalty(alpha, penalty.lambda1) for alpha in x[alphas]])
+    grad, neg_hess = score.copy(), info.copy()
+    grad[alphas] += pull
+    neg_hess[alphas, alphas] += pull
+    grad[betas] -= penalty.lambda2 * np.sign(x[betas])
+
+    sigma = x[sigmas]
+    active = np.ones(x.shape[0], dtype=bool)
+    active[betas] = x[betas] != 0.0
+    active[sigmas] = (sigma > sigma_floor) & (sigma < _SIGMA_MAX)
+    resid = np.abs(grad)
+    zero = betas & ~active
+    resid[zero] = np.maximum(resid[zero] - penalty.lambda2, 0.0)
+    low, high = sigmas[sigma <= sigma_floor], sigmas[sigma >= _SIGMA_MAX]
+    resid[low] = np.maximum(grad[low], 0.0)
+    resid[high] = np.maximum(-grad[high], 0.0)
+    return grad, neg_hess, active, resid
+
+
+def _active_newton_step(work: _Workspace, grad, neg_hess, active) -> np.ndarray | None:
+    """The Newton step on the active set, zero elsewhere, solved in the
+    canonical group order; None unless the active block of ``neg_hess`` has
+    a Cholesky factor and the step is finite."""
+    order = work.canonical[active[work.canonical]]
+    block = neg_hess[np.ix_(order, order)]
+    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(grad[order]))):
+        return None
+    try:
+        np.linalg.cholesky(block)
+        solved = np.linalg.solve(block, grad[order])
+    except np.linalg.LinAlgError:
+        return None
+    step = np.zeros(grad.shape[0])
+    step[order] = solved
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _newton_finish(
+    work: _Workspace, penalty: PenaltyConfig, config: FitConfig, point: _Point, budget: int
+):
+    """At most ``budget`` Newton steps on the penalized observed objective
+    from ``point``.
+
+    Before each step the coordinates held fixed (zero betas, sigmas on a
+    bound) must meet their KKT conditions.  A step is taken only when the
+    active block of the negated Hessian has a Cholesky factor, the new point
+    is finite, no beta changes sign (when lambda2 > 0), every active sigma
+    stays within its bounds, and the penalized objective does not decrease.
+    Returns the (loglik, penalized) trace entries of the steps taken, the
+    last point, whether the last step moved less than ``epsilon`` with the
+    fixed coordinates meeting their KKT conditions there, and the score and
+    information at the last point.
+    """
+    derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
+    trace: list[tuple[float, float]] = []
+    moved = math.inf
+    while True:
+        grad, neg_hess, active, resid = _newton_system(
+            work, point.theta, *derivs, penalty, config.sigma_floor
+        )
+        fixed_ok = bool(np.all(resid[~active] == 0.0))
+        if moved < config.epsilon or not fixed_ok or len(trace) == budget:
+            return trace, point, moved < config.epsilon and fixed_ok, derivs
+        step = _active_newton_step(work, grad, neg_hess, active)
+        if step is None:
+            return trace, point, False, derivs
+        x = point.theta.flatten()
+        new = x + step
+        betas, sigma = work.is_beta, new[work.sigma_at]
+        in_bounds = (sigma >= config.sigma_floor) & (sigma <= _SIGMA_MAX)
+        if not (
+            np.all(np.isfinite(new))
+            and (penalty.lambda2 == 0.0 or np.array_equal(np.sign(new[betas]), np.sign(x[betas])))
+            and np.all(in_bounds | ~active[work.sigma_at])
+        ):
+            return trace, point, False, derivs
+        candidate = _Point(work, Theta.from_flat(new, work.spec), penalty)
+        if not (
+            math.isfinite(candidate.penalized) and _no_worse(candidate.penalized, point.penalized)
+        ):
+            return trace, point, False, derivs
+        moved = _norm(step)
+        point = candidate
+        trace.append((point.loglik, point.penalized))
+        derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
+
+
+def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta):
+    """SQUAREM-accelerated EM from ``theta`` with a Newton finish; returns
+    the :class:`FitResult` without standard errors and the observed
+    information at its ``theta_hat``.
 
     Each cycle takes two EM maps, then tries the extrapolated point of
     :func:`_extrapolate`; when it is accepted, one more map from it follows,
-    otherwise the next cycle starts from the second map's output.  Every
-    returned point is an M-step output, so lasso zeros stay exact and sigma
-    stays at or above the floor.  ``max_em_iters`` caps the maps, each map is
-    one trace entry, and each map's move is its own stop test.
+    otherwise the next cycle starts from the second map's output.  A map
+    that moves theta by less than ``_NEWTON_START`` hands over to
+    :func:`_newton_finish`; when that stops short of convergence, EM maps
+    resume from its last point, and Newton is tried again once the set of
+    zero betas changes or ``_NEWTON_RETRY`` maps have passed.  Lasso zeros
+    stay exact and sigma stays at or above the floor.  ``max_em_iters`` caps
+    the maps and Newton steps together, each is one trace entry, and each
+    one's move is its own stop test.
     """
     states = [_GroupState(g, config.sigma_floor) for g in theta.groups]
-    theta = _theta_of(states)
-    # One kernel evaluation per map: it gives the trace entry of its output
-    # and the next E-step.
-    log_haz, cumhaz = work.hazards(theta)
-    loglik_trace = [_loglik(work, log_haz, cumhaz)]
-    penalized_trace = [_penalized_loglik(loglik_trace[0], theta, penalty)]
+    # One kernel evaluation per map or Newton step: it gives the trace entry
+    # of its output and the next E-step.
+    point = _Point(work, _theta_of(states), penalty)
+    loglik_trace, penalized_trace = [point.loglik], [point.penalized]
     warnings: list[str] = []
-    cycle = [theta]
+    cycle = [point.theta]
+    derivs = None  # score and information at point, once computed
+    converged = False
+    retry_zeros, maps_since_newton = None, 0
 
-    for m in range(config.max_em_iters):
-        _m_step(work, states, _winning(log_haz), penalty, config.sigma_floor)
+    while len(loglik_trace) <= config.max_em_iters:
+        m = len(loglik_trace) - 1
+        _m_step(work, states, point.eta, penalty, config.sigma_floor)
         warnings.extend(
             f"iteration {m}: group {l} line search stalled; parameters kept"
             for l, state in enumerate(states)
             if state.stalled
         )
-        theta_new = _theta_of(states)
-        log_haz, cumhaz = work.hazards(theta_new)
-        loglik_trace.append(_loglik(work, log_haz, cumhaz))
-        penalized_trace.append(_penalized_loglik(loglik_trace[-1], theta_new, penalty))
-        delta_norm = _norm(theta_new.flatten() - theta.flatten())
-        theta = theta_new
-        if delta_norm < config.epsilon:
+        new = _Point(work, _theta_of(states), penalty)
+        moved = _norm(new.theta.flatten() - point.theta.flatten())
+        point, derivs = new, None
+        loglik_trace.append(point.loglik)
+        penalized_trace.append(point.penalized)
+        maps_since_newton += 1
+        if moved < config.epsilon:
+            converged = True
             break
-        cycle.append(theta)
-        if len(cycle) < 3 or m + 1 == config.max_em_iters:
-            continue
-        jump = _extrapolate(work, cycle, penalized_trace[-1], penalty, config.sigma_floor)
-        if jump is None:
-            cycle = [theta]
-            continue
-        theta, log_haz = jump
-        for state, g in zip(states, theta.groups):
+        budget = config.max_em_iters + 1 - len(loglik_trace)
+        if budget == 0:
+            break
+        zeros = point.theta.flatten()[work.is_beta] == 0.0
+        if moved < _NEWTON_START and (
+            maps_since_newton >= _NEWTON_RETRY or not np.array_equal(zeros, retry_zeros)
+        ):
+            trace, point, converged, derivs = _newton_finish(work, penalty, config, point, budget)
+            loglik_trace += [entry[0] for entry in trace]
+            penalized_trace += [entry[1] for entry in trace]
+            if converged:
+                break
+            retry_zeros, maps_since_newton = zeros, 0
+            cycle = [point.theta]
+        else:
+            cycle.append(point.theta)
+            if len(cycle) < 3:
+                continue
+            jump = _extrapolate(work, cycle, point.penalized, penalty, config.sigma_floor)
+            if jump is None:
+                cycle = [point.theta]
+                continue
+            point, cycle = jump, []
+        for state, g in zip(states, point.theta.groups):
             state.alpha, state.beta, state.sigma = g.alpha, np.array(g.beta), g.sigma
-        cycle = []
 
-    return FitResult(
-        theta_hat=theta,
+    if derivs is None:
+        derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
+    resid = _newton_system(work, point.theta, *derivs, penalty, config.sigma_floor)[3]
+    result = FitResult(
+        theta_hat=point.theta,
         std_errors=None,
-        winning_probs=_winning(log_haz),
+        winning_probs=point.eta,
         censored_rows=work.delta == 0,
         loglik_trace=np.asarray(loglik_trace),
         penalized_trace=np.asarray(penalized_trace),
-        converged=delta_norm < config.epsilon and math.isfinite(penalized_trace[-1]),
+        converged=converged and math.isfinite(penalized_trace[-1]),
         n_iters=len(loglik_trace) - 1,
         warnings=tuple(warnings),
+        kkt_residual=float(np.max(resid)),
     )
+    return result, derivs[1]
 
 
 def fit_em(
@@ -858,13 +1106,18 @@ def fit_em(
     config: FitConfig | None = None,
     theta_init: Theta | None = None,
 ) -> FitResult:
-    """Fit the model by SQUAREM-accelerated EM, stopping when an EM map
-    moves theta by less than ``config.epsilon`` or the map budget runs out.
+    """Fit the model by SQUAREM-accelerated EM with a Newton finish,
+    stopping when an EM map or a Newton step moves theta by less than
+    ``config.epsilon`` or the budget of ``config.max_em_iters`` maps and
+    steps runs out.
 
     Non-convergence is reported through ``converged=False``, never raised.
     With ``theta_init`` omitted the default initialization is used, plus
     jittered restarts when ``config.n_starts > 1``; the run with the best
-    final penalized objective is returned.
+    final penalized objective is returned.  Its standard errors come from
+    the observed information that the fit computed at ``theta_hat``, so they
+    cost no further evaluation of the model; ``kkt_residual`` reports how
+    far ``theta_hat`` is from meeting the KKT conditions.
     """
     penalty = penalty or PenaltyConfig()
     config = config or FitConfig()
@@ -883,20 +1136,21 @@ def fit_em(
             starts.append(_jittered(base, rng))
 
     work = _Workspace(spec, data)
-    best: FitResult | None = None
+    best = None
     for start in starts:
-        result = _run_em(work, penalty, config, start)
-        if best is None or result.final_penalized > best.final_penalized:
-            best = result
+        result, info = _run_em(work, penalty, config, start)
+        if best is None or result.final_penalized > best[0].final_penalized:
+            best = result, info
 
-    warnings = list(best.warnings)
+    result, info = best
+    warnings = list(result.warnings)
     std = None
     if config.compute_std_errors:
         try:
-            std = standard_errors(best.theta_hat, spec, data)
+            std = _standard_errors(work, info)
         except (SingularHessianError, NumericError) as exc:
             warnings.append(f"standard errors unavailable: {exc}")
-    return replace(best, std_errors=std, warnings=tuple(warnings))
+    return replace(result, std_errors=std, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -907,44 +1161,38 @@ def fit_em(
 def standard_errors(theta_hat: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     """Inverse-observed-information standard errors at the fitted parameters.
 
-    The observed information is minus the symmetrized central-difference
-    Jacobian (step ``1e-5 * (1 + |theta_j|)``, 2d evaluations for d
-    parameters) of the analytic score of the unpenalized log-likelihood.
+    The observed information is the closed form of
+    :func:`_score_and_information`, from one evaluation of the model.
     Raises :class:`SingularHessianError` naming the near-null directions when
     it is not positive definite, which typically signals an eliminated or
     duplicated group, and :class:`NumericError` when an entry is not finite.
     """
     theta_hat.validate_against(spec)
     work = _Workspace(spec, data)
-    x0 = theta_hat.flatten()
-    d = x0.shape[0]
-    jac = np.empty((d, d))
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = _SE_REL_STEP * (1.0 + abs(x0[j]))
-        jac[:, j] = (
-            _score(work, Theta.from_flat(x0 + step, spec))
-            - _score(work, Theta.from_flat(x0 - step, spec))
-        ) / (2.0 * step[j])
-    if not np.all(np.isfinite(jac)):
-        raise NumericError("non-finite entries in the observed information")
+    return _standard_errors(work, _observed_information(work, theta_hat)[1])
 
-    info = -0.5 * (jac + jac.T)
-    eigvals, eigvecs = np.linalg.eigh(info)
-    scale = float(np.max(np.abs(eigvals))) if d else 0.0
+
+def _standard_errors(work: _Workspace, info: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of ``info``'s inverse, decomposed in the
+    canonical group order so relabelled fits get bit-identical errors."""
+    if not np.all(np.isfinite(info)):
+        raise NumericError("non-finite entries in the observed information")
+    order = work.canonical
+    eigvals, eigvecs = np.linalg.eigh(info[np.ix_(order, order)])
+    scale = float(np.max(np.abs(eigvals))) if order.size else 0.0
     tol = 1e-10 * max(scale, 1.0)
     if np.any(eigvals <= tol):
-        names = parameter_names(spec)
+        names = parameter_names(work.spec)
         directions = []
         for idx in np.flatnonzero(eigvals <= tol):
             vec = eigvecs[:, idx]
             worst = np.argsort(-np.abs(vec))[:3]
             directions.append(
-                ", ".join(f"{names[w]} ({vec[w]:+.2f})" for w in worst)
+                ", ".join(f"{names[order[w]]} ({vec[w]:+.2f})" for w in worst)
             )
         raise SingularHessianError(
             "observed information is singular along: " + "; ".join(directions),
             null_directions=directions,
         )
     cov = (eigvecs / eigvals) @ eigvecs.T
-    return np.sqrt(np.diag(cov))
+    return np.sqrt(np.diag(cov))[work.flat_order]

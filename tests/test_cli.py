@@ -5,6 +5,9 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +572,52 @@ class TestFitErrors:
         }
         with pytest.raises(cw.ConfigError, match="not unique"):
             fit_from_json(fit)
+
+
+class TestJsonErrorsNameTheFile:
+    @pytest.mark.parametrize("command", ["simulate", "fit", "fit --init", "predict", "evaluate"])
+    def test_message_starts_with_the_path(self, pipeline, tmp_path, capsys, command):
+        tmp, data, spec, fit = pipeline
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "out"
+        if command == "simulate":
+            bad.write_text(json.dumps({"groups": [], "n": "abc", "target_censoring": 0.1, "seed": 1}))
+            argv, where = ("simulate", "--scenario", bad), "scenario.n must be an integer"
+        elif command == "fit":
+            bad.write_text(json.dumps({"groups": [{"covariates": "x1"}]}))
+            argv, where = ("fit", "--data", data, "--spec", bad), ".groups[0].covariates must be a list"
+        else:
+            payload = read_json(fit)
+            payload["groups"][0]["alpha"] = "abc"
+            bad.write_text(json.dumps(payload))
+            where = "fit.groups[0].alpha must be a number, got 'abc'"
+            argv = {
+                "fit --init": ("fit", "--data", data, "--spec", spec, "--init", bad),
+                "predict": ("predict", "--fit", bad, "--data", data),
+                "evaluate": ("evaluate", "--fit", bad, "--data", data),
+            }[command]
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert where in err
+        assert not out.exists()
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy.optimize is imported lazily by the one simulation routine
+        # that needs it; importing the CLI must not pull scipy in.
+        script = (
+            "import sys\n"
+            "import competing_weibull.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(cw.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 _ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0]

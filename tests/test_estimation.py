@@ -10,13 +10,18 @@ import pytest
 from scipy import optimize
 
 import competing_weibull as cw
+from competing_weibull import estimation
 from competing_weibull.estimation import (
     _Workspace,
+    _loglik,
+    _loglik_and_winning,
     _loglik_raw,
+    _observed_information,
     _penalized_loglik,
     _score,
     penalized_q_group,
 )
+from competing_weibull.model import _winning
 from conftest import random_instance
 
 
@@ -103,6 +108,16 @@ class TestLogLikelihood:
         assert cw.log_likelihood(theta, spec, data) == pytest.approx(
             brute_force_loglik(theta, spec, data), abs=1e-10
         )
+
+    def test_one_pass_matches_separate_reductions(self):
+        rng = np.random.default_rng(8)
+        for L in (1, 2, 3):
+            spec, truth, data = random_instance(rng, n=200, L=L, target_censoring=0.3)
+            work = _Workspace(spec, data)
+            log_haz, cumhaz = work.hazards(truth)
+            loglik, eta = _loglik_and_winning(work, log_haz, cumhaz)
+            assert loglik == _loglik(work, log_haz, cumhaz)
+            assert np.array_equal(eta, _winning(log_haz))
 
     def test_overflow_names_subject(self, exp_unit):
         spec, _ = exp_unit
@@ -638,14 +653,15 @@ class TestSquarem:
 
     @pytest.mark.parametrize("lambda1", [0.0, 2.0])
     def test_far_intercept_start_does_not_raise(self, lambda1):
-        # exp(720) overflows a double: the intercept penalty must not raise.
+        # exp(720) overflows a double: the intercept penalty must not raise,
+        # and the fit must still climb out to the fit from the default start.
         spec, data, start = one_group_far_start(-720.0)
-        fit = cw.fit_em(spec, data, cw.PenaltyConfig(lambda1, 0.0), theta_init=start)
-        assert fit.n_iters >= 1
-        if lambda1 > 0:
-            assert fit.final_penalized == -math.inf or any("stalled" in w for w in fit.warnings)
-        if not math.isfinite(fit.final_penalized):
-            assert not fit.converged
+        penalty = cw.PenaltyConfig(lambda1, 0.0)
+        config = cw.FitConfig(compute_std_errors=False)
+        reference = cw.fit_em(spec, data, penalty, config)
+        fit = cw.fit_em(spec, data, penalty, config, theta_init=start)
+        assert fit.converged
+        assert np.max(np.abs(fit.theta_hat.flatten() - reference.theta_hat.flatten())) < 1e-6
 
     def test_far_start_reaches_the_mle(self):
         # From alpha = -700 the first gradient is of order e^700; the fit must
@@ -664,6 +680,133 @@ class TestSquarem:
             warnings.simplefilter("error")
             fit = cw.fit_em(spec, data, theta_init=start)
         assert fit.n_iters >= 1
+
+
+def spy_newton(monkeypatch):
+    """Record (steps taken, converged) of every Newton finish."""
+    phases = []
+    real = estimation._newton_finish
+
+    def spy(*args):
+        out = real(*args)
+        phases.append((len(out[0]), out[2]))
+        return out
+
+    monkeypatch.setattr(estimation, "_newton_finish", spy)
+    return phases
+
+
+class TestNewtonFinish:
+    def test_lasso_crawl_finishes(self):
+        # At lambda2 = 30 the lasso zeroes group 3's beta, and its alpha and
+        # sigma drift together along a flat ridge on which EM maps crawl;
+        # -854.2154791484 is where EM maps alone stop.
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        fit = cw.fit_em(
+            scen.model,
+            cw.generate(scen).data,
+            cw.PenaltyConfig(2.0, 30.0),
+            cw.FitConfig(compute_std_errors=False),
+        )
+        assert fit.converged
+        assert fit.n_iters <= 100
+        assert fit.final_penalized >= -854.2154791484
+        assert fit.kkt_residual < 1e-6
+
+    def test_relabelled_newton_fit_is_bit_identical(self, monkeypatch):
+        phases = spy_newton(monkeypatch)
+        scen = cw.builtin_scenario(2, 0.2, seed=3)
+        data = cw.generate(scen).data
+        penalty = cw.PenaltyConfig(2.0, 1.0)
+        fit = cw.fit_em(scen.model, data, penalty)
+        assert fit.converged and phases[-1][0] > 0 and phases[-1][1]
+
+        perm = [2, 0, 1]
+        spec_p = cw.ModelSpec([scen.model.groups[l] for l in perm], p=scen.model.p)
+        fit_p = cw.fit_em(spec_p, data, penalty)
+
+        def by_group(flat, spec):
+            ends = np.cumsum([2 + g.n_covariates for g in spec.groups])
+            return np.split(flat, ends[:-1])
+
+        for values, values_p in (
+            (fit.theta_hat.flatten(), fit_p.theta_hat.flatten()),
+            (fit.std_errors, fit_p.std_errors),
+        ):
+            groups, groups_p = by_group(values, scen.model), by_group(values_p, spec_p)
+            for new_pos, old_pos in enumerate(perm):
+                assert np.array_equal(groups_p[new_pos], groups[old_pos])
+        assert np.array_equal(fit_p.penalized_trace, fit.penalized_trace)
+
+    def test_singular_information_completes_through_em(self, monkeypatch):
+        # A constant-zero column gives its nonzero coefficient no curvature:
+        # the Newton block has no Cholesky factor, so EM maps finish the fit.
+        phases = spy_newton(monkeypatch)
+        rng = np.random.default_rng(12)
+        spec = cw.ModelSpec([cw.GroupSpec([0, 1])], p=2)
+        x = np.column_stack([rng.standard_normal(150), np.zeros(150)])
+        truth = cw.Theta([cw.GroupParams(0.2, [0.8, 0.0], 1.0)])
+        times, _ = cw.sample_events(truth, spec, x, rng)
+        data = cw.Dataset(times, np.ones(150, dtype=int), x)
+        start = cw.Theta([cw.GroupParams(0.0, [0.5, 0.3], 1.0)])
+        fit = cw.fit_em(spec, data, theta_init=start)
+        assert phases and all(phase == (0, False) for phase in phases)
+        assert fit.converged
+        assert fit.std_errors is None
+        assert any("standard errors" in w for w in fit.warnings)
+        assert fit.theta_hat.groups[0].beta[1] == 0.3
+        reduced = cw.fit_em(cw.ModelSpec([cw.GroupSpec([0])], p=2), data)
+        kept = fit.theta_hat.flatten()[[0, 1, 3]]
+        assert np.max(np.abs(kept - reduced.theta_hat.flatten())) < 1e-5
+
+
+def central_difference_information(work, spec, x0):
+    """Minus the symmetrized central-difference Jacobian of the analytic score."""
+    d = x0.shape[0]
+    jac = np.empty((d, d))
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = 1e-6 * (1.0 + abs(x0[j]))
+        jac[:, j] = (
+            _score(work, cw.Theta.from_flat(x0 + step, spec))
+            - _score(work, cw.Theta.from_flat(x0 - step, spec))
+        ) / (2.0 * step[j])
+    return -0.5 * (jac + jac.T)
+
+
+class TestObservedInformation:
+    @staticmethod
+    def instances():
+        for example, censoring in ((1, 0.1), (2, 0.2), (3, 0.3)):
+            scen = cw.builtin_scenario(example, censoring, seed=1)
+            yield scen.model, scen.truth, cw.generate(scen).data
+        rng = np.random.default_rng(31)
+        for L in (1, 2, 3):
+            spec, truth, data = random_instance(rng, n=300, L=L, target_censoring=0.2)
+            moved = truth.flatten() + rng.normal(0.0, 0.1, truth.n_params)
+            yield spec, cw.Theta.from_flat(moved, spec), data
+        # An intercept-only group beside one whose sigma is near the floor.
+        spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([])], p=1)
+        truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.02), cw.GroupParams(1.0, [], 1.2)])
+        x = rng.standard_normal((300, 1))
+        times, _ = cw.sample_events(truth, spec, x, rng)
+        observed, status, _ = cw.apply_censoring(times, 0.2, rng)
+        yield spec, truth, cw.Dataset(observed, status, x)
+
+    def test_matches_central_differences_of_score(self):
+        for spec, theta, data in self.instances():
+            work = _Workspace(spec, data)
+            score, info = _observed_information(work, theta)
+            assert np.array_equal(score, _score(work, theta))
+            assert np.array_equal(info, info.T)
+            reference = central_difference_information(work, spec, theta.flatten())
+            assert np.max(np.abs(info - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+    def test_fit_reuses_the_information_at_theta_hat(self):
+        scen = cw.builtin_scenario(2, 0.2, seed=3)
+        data = cw.generate(scen).data
+        fit = cw.fit_em(scen.model, data, cw.PenaltyConfig(2.0, 1.0))
+        assert np.array_equal(fit.std_errors, cw.standard_errors(fit.theta_hat, scen.model, data))
 
 
 class TestStandardErrors:
