@@ -64,12 +64,22 @@ def _json_input(parse, path: str, *args):
 
 
 def _parse_horizons(raw: str) -> list[float]:
+    """The times of ``--at``/``--horizons``.  Each one's ``:g`` label names
+    an output column, report key or ROC file, so two times with one label
+    (exact duplicates included) are an error."""
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
+        values = [float(part) for part in parts]
     except ValueError:
         raise ConfigError(f"invalid time list {raw!r}") from None
     if not values or any(v <= 0 for v in values):
         raise ConfigError("times must be a comma-separated list of positive reals")
+    part_with_label: dict[str, str] = {}
+    for part, value in zip(parts, values):
+        label = f"{value:g}"
+        if label in part_with_label:
+            raise ConfigError(f"times {part_with_label[label]} and {part} share the label {label}")
+        part_with_label[label] = part
     return values
 
 
@@ -98,8 +108,8 @@ def cmd_simulate(args) -> int:
 
     truth_path = args.truth or _sidecar(args.out, ".truth.json")
     truth = formats.scenario_to_json(scenario)
-    truth["latent_causes"] = [int(c) for c in sim.latent_causes]
-    truth["true_event_times"] = [float(t) for t in sim.true_event_times]
+    truth["latent_causes"] = sim.latent_causes.tolist()
+    truth["true_event_times"] = sim.true_event_times.tolist()
     truth["realized_censoring_rate"] = sim.realized_censoring_rate
     formats.atomic_write_text(truth_path, formats.canonical_json(truth))
     log.info(
@@ -155,8 +165,7 @@ def cmd_fit(args) -> int:
 
     eta_path = args.eta or _sidecar(args.out, ".eta.csv")
     header = [f"eta{l + 1}" for l in range(spec.n_groups)] + ["censored"]
-    rows = zip(result.winning_probs.tolist(), result.censored_rows.tolist())
-    formats.write_csv(eta_path, header, [eta + [int(c)] for eta, c in rows])
+    formats.write_csv(eta_path, header, [*result.winning_probs.T, result.censored_rows])
 
     if not result.converged:
         log.warning("EM did not converge within %d EM maps and Newton steps", result.n_iters)
@@ -188,12 +197,12 @@ def cmd_predict(args) -> int:
     for t in horizons:
         header.extend(f"eta{l + 1}_at_{t:g}" for l in range(spec.n_groups))
     at_horizons = [_survival_and_winning(theta, spec, data.covariates, t) for t in horizons]
-    columns = np.column_stack(
-        [_expected_times(theta, spec, data.covariates)[0]]
-        + [s for s, _ in at_horizons]
-        + [eta for _, eta in at_horizons]
-    )
-    formats.write_csv(args.out, header, columns.tolist())
+    columns = [
+        _expected_times(theta, spec, data.covariates)[0],
+        *(s for s, _ in at_horizons),
+        *(column for _, eta in at_horizons for column in eta.T),
+    ]
+    formats.write_csv(args.out, header, columns)
     log.info("wrote %s (%d subjects, %d horizons)", args.out, data.n, len(horizons))
     return EXIT_OK
 
@@ -205,11 +214,14 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     spec, theta, data = _fit_and_data(args)
-    horizons = (
-        _parse_horizons(args.horizons)
-        if args.horizons
-        else [float(t) for t in default_time_grid(data.times, data.status)]
-    )
+    if args.horizons:
+        horizons = _parse_horizons(args.horizons)
+    else:
+        # Keep the first grid time for each ``:g`` label.
+        by_label: dict[str, float] = {}
+        for t in default_time_grid(data.times, data.status).tolist():
+            by_label.setdefault(f"{t:g}", t)
+        horizons = list(by_label.values())
 
     markers_by_horizon = {
         t: risk_markers(theta, spec, data.covariates, mode="one_minus_survival", horizon=t)
@@ -251,8 +263,8 @@ def cmd_evaluate(args) -> int:
         os.makedirs(args.rocdir, exist_ok=True)
         for t, curve in curves.items():
             base = os.path.join(args.rocdir, f"roc_{t:g}")
+            formats.write_csv(base + ".csv", ["fpr", "tpr"], [curve.fpr, curve.tpr])
             points = np.column_stack([curve.fpr, curve.tpr]).tolist()
-            formats.write_csv(base + ".csv", ["fpr", "tpr"], points)
             formats.atomic_write_text(
                 base + ".json",
                 formats.canonical_json({"horizon": t, "auc": curve.auc, "points": points}),

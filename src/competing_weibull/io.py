@@ -6,6 +6,17 @@ structured configuration and results travel as JSON with a
 all JSON is serialized canonically (sorted keys, two-space indent, trailing
 newline) so that reading a file and re-serializing it is byte-identical.
 
+Both CSV paths work on whole columns.  :func:`write_csv` takes one 1-D array
+per header entry and formats the body with one ``%`` template per chunk of
+rows: a float is written as its shortest round-trip ``repr`` (what
+csv.writer writes for a Python float), an integer or boolean as an integer,
+so a flag reads ``0``/``1``.  :func:`read_dataset_csv` parses every cell with
+one ``map(float, ...)`` and checks widths and status as arrays.
+:func:`canonical_json` joins lists of numbers, and lists of equally long
+number lists, in one string operation; everything else is encoded by the
+standard library, so its output equals ``json.dumps(obj, sort_keys=True,
+indent=2) + "\n"``.
+
 Every input is checked here.  A malformed one raises ConfigError naming the
 CSV file and line or the JSON key path: text that is not UTF-8, invalid JSON,
 or a JSON document that does not match its format's schema (``_SCENARIO``,
@@ -21,6 +32,7 @@ import io as _io
 import json
 import os
 import tempfile
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +60,61 @@ __all__ = [
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, byte for byte."""
+    return _json_text(obj, "\n") + "\n"
+
+
+_NUMBER_TYPES = {float, int}
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as the standard encoder writes it where ``newline`` (a line end
+    and the indent of the enclosing value) starts each of its lines.
+
+    The standard encoder formats indented JSON in pure Python, one value at a
+    time.  Here a list of numbers is one ``join`` and a list of equally long
+    number lists one ``%`` template, and ``repr``'s ``nan``/``inf`` are then
+    spelled ``NaN``/``Infinity`` as the encoder spells them.  Containers
+    recurse; anything else, including a dict with a key that is not a string,
+    is encoded by ``json.dumps`` and re-indented, which is exact because JSON
+    text has no raw line end inside a string.
+    """
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        types = set(map(type, obj))
+        if types <= _NUMBER_TYPES:
+            body = _finite_spelling(("," + inner).join(map(repr, obj)))
+        elif types <= {list, tuple} and _is_number_table(obj):
+            deeper = inner + "  "
+            row = "[" + ",".join([deeper + "%r"] * len(obj[0])) + inner + "]"
+            body = ("," + inner).join([row] * len(obj)) % tuple(chain.from_iterable(obj))
+            body = _finite_spelling(body)
+        else:
+            body = ("," + inner).join([_json_text(item, inner) for item in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = [
+            json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
+
+
+def _is_number_table(rows) -> bool:
+    """Whether ``rows`` (lists or tuples) are nonempty, equally long and hold
+    only floats and ints."""
+    return len(set(map(len, rows))) == 1 and len(rows[0]) > 0 and (
+        set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+    )
+
+
+def _finite_spelling(text: str) -> str:
+    """Joined number ``repr``s with ``nan``/``inf`` spelled as JSON's encoder
+    spells them; no other number ``repr`` contains an ``n``."""
+    if "n" in text:
+        text = text.replace("inf", "Infinity").replace("nan", "NaN")
+    return text
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -67,18 +133,31 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write a CSV atomically with ``\n`` line ends.
+# Rows formatted by one ``%`` template; bounds the arguments tuple.
+_CSV_CHUNK_ROWS = 4096
 
-    Rows hold Python scalars (use ``ndarray.tolist()``): floats are written
-    with ``str``, which for a Python float is its shortest round-trip
-    ``repr``, so the values read back exactly.
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a CSV atomically with ``\n`` line ends, one 1-D array per header
+    entry.
+
+    csv.writer writes the header.  A float cell is written as its shortest
+    round-trip ``repr``, as csv.writer writes a Python float, so it reads back
+    exactly; an integer cell as an integer and a boolean as ``0``/``1``.
     """
+    columns = [np.asarray(column) for column in columns]
+    n = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(column.shape != (n,) for column in columns):
+        raise ValueError("write_csv needs one 1-D column per header entry, all of one length")
+    columns = [c.astype(np.int8) if c.dtype == np.bool_ else c for c in columns]
     buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buffer.getvalue())
+    csv.writer(buffer, lineterminator="\n").writerow(header)
+    parts = [buffer.getvalue()]
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
+        parts.append(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+    atomic_write_text(path, "".join(parts))
 
 
 def read_json(path: str):
@@ -175,24 +254,37 @@ def write_dataset_csv(path: str, data: Dataset, covariate_names: Sequence[str] |
         covariate_names = [f"x{j + 1}" for j in range(data.p)]
     if len(covariate_names) != data.p:
         raise SpecError("covariate_names length must match the covariate count")
-    rows = zip(data.times.tolist(), data.status.tolist(), data.covariates.tolist())
-    write_csv(path, ["time", "status", *covariate_names], [[t, s, *x] for t, s, x in rows])
+    write_csv(
+        path, ["time", "status", *covariate_names], [data.times, data.status, *data.covariates.T]
+    )
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
-    """Read a dataset CSV; returns the data and the covariate column names."""
+    """Read a dataset CSV; returns the data and the covariate column names.
+
+    A defect names the first failing record (blank records count): a wrong
+    field count, then a cell that is not a float, then a status other than
+    0 or 1.  Bytes that are not UTF-8, or a field longer than csv's field
+    size limit, are reported after any defect in the records read before
+    them.
+    """
+    records: list[list[str]] = []
+    unreadable = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return _parse_dataset_csv(path, csv.reader(handle))
+            records.extend(csv.reader(handle))
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        # ``records`` keeps what was read before the failure.
+        unreadable = ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except csv.Error as exc:
+        unreadable = ConfigError(f"{path}:{len(records) + 1}: {exc}")
+    return _parse_dataset_csv(path, records, unreadable)
 
 
-def _parse_dataset_csv(path: str, reader) -> tuple[Dataset, list[str]]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty file") from None
+def _parse_dataset_csv(path: str, records, unreadable) -> tuple[Dataset, list[str]]:
+    if not records:
+        raise unreadable or ConfigError(f"{path}: empty file")
+    header = records[0]
     if len(header) < 2 or header[0] != "time" or header[1] != "status":
         raise ConfigError(
             f"{path}: header must start with 'time,status', got {header[:2]}"
@@ -200,27 +292,40 @@ def _parse_dataset_csv(path: str, reader) -> tuple[Dataset, list[str]]:
     names = header[2:]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: covariate column names {names} are not unique")
-    times, status, rows = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            times.append(float(row[0]))
-            event = float(row[1])
-            rows.append([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        if event not in (0.0, 1.0):
-            raise ConfigError(f"{path}:{lineno}: status must be 0 or 1, got {row[1]!r}")
-        status.append(int(event))
-    if not times:
+    width = len(header)
+    rows = list(filter(None, records[1:]))
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    cells: list[float] = []
+    try:
+        cells.extend(map(float, chain.from_iterable(rows)))
+        bad_cell, first_bad_float = None, len(rows)
+    except ValueError as exc:
+        # ``cells`` holds the floats parsed before the failing cell.
+        bad_cell = exc
+        first_bad_float = int(np.searchsorted(np.cumsum(widths), len(cells), side="right"))
+    wrong_width = np.flatnonzero(widths != width)
+    first_wrong_width = int(wrong_width[0]) if wrong_width.size else len(rows)
+    # Every record before ``parsed`` has the right width and only floats.
+    parsed = min(first_wrong_width, first_bad_float)
+    table = np.array(cells, dtype=float)[: parsed * width].reshape(parsed, width)
+    bad_status = np.flatnonzero((table[:, 1] != 0.0) & (table[:, 1] != 1.0))
+    if bad_status.size or parsed < len(rows):
+        # Only a failing file pays for locating its record's line number.
+        failing = int(bad_status[0]) if bad_status.size else parsed
+        lineno = int(np.flatnonzero(list(map(len, records)))[failing + 1]) + 1
+        if bad_status.size:
+            message = f"status must be 0 or 1, got {rows[failing][1]!r}"
+        elif failing == first_wrong_width:
+            message = f"expected {width} fields, got {len(rows[failing])}"
+        else:
+            message = str(bad_cell)
+        raise ConfigError(f"{path}:{lineno}: {message}")
+    if unreadable is not None:
+        raise unreadable
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
     try:
-        data = Dataset(np.asarray(times), np.asarray(status), np.asarray(rows))
+        data = Dataset(table[:, 0], table[:, 1], table[:, 2:])
     except SpecError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return data, names

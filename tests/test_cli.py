@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import competing_weibull as cw
 from competing_weibull.cli import main
-from competing_weibull.io import canonical_json, fit_from_json, read_dataset_csv
+from competing_weibull.metrics import default_time_grid
+from competing_weibull.io import canonical_json, fit_from_json, read_dataset_csv, write_dataset_csv
 
 
 def run(*argv):
@@ -470,6 +471,14 @@ class TestFitErrors:
         spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
         assert run("fit", "--data", data, "--spec", spec, "--out", tmp_path / "f.json") == 2
 
+    def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x1\n1.0,1," + "1" * (csv.field_size_limit() + 1) + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        assert run("fit", "--data", data, "--spec", spec, "--out", tmp_path / "f.json") == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"groups": [{"covariates": []}]}))
@@ -601,6 +610,56 @@ class TestJsonErrorsNameTheFile:
         assert err.startswith(f"error: {bad}: ")
         assert where in err
         assert not out.exists()
+
+
+class TestHorizonLabels:
+    """A horizon's ``:g`` label names a prediction column, a report key and a
+    ROC file, so an explicit list may not repeat a label."""
+
+    @pytest.mark.parametrize("times", ["1,1.0000001", "2,2", "0.5, 2,2.0", "3e-7,2.9999999e-7"])
+    def test_predict_rejects_repeated_labels(self, pipeline, tmp_path, capsys, times):
+        tmp, data, spec, fit = pipeline
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--fit", fit, "--data", data, "--at", times, "--out", out) == 2
+        err = capsys.readouterr().err
+        first, second = [part.strip() for part in times.split(",")][-2:]
+        assert f"times {first} and {second} share the label" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("times", ["1,1.0000001", "1,2,1"])
+    def test_evaluate_rejects_repeated_labels(self, pipeline, tmp_path, capsys, times):
+        tmp, data, spec, fit = pipeline
+        report, rocdir = tmp_path / "report.json", tmp_path / "rocs"
+        assert (
+            run("evaluate", "--fit", fit, "--data", data, "--horizons", times, "--out", report, "--rocdir", rocdir)
+            == 2
+        )
+        assert "share the label 1" in capsys.readouterr().err
+        assert not report.exists() and not rocdir.exists()
+
+    def test_default_grid_keeps_the_first_time_per_label(self, pipeline, tmp_path):
+        # Every event decile lies in [1, 1.0000001], so all nine grid times
+        # print as "1"; one horizon remains and the iAUC is skipped.
+        tmp, _, spec, fit = pipeline
+        rng = np.random.default_rng(0)
+        n = 60
+        times = np.where(np.arange(n) % 2 == 0, 1.0, 1.0000001)
+        times[:10] = 5.0
+        status = np.ones(n, dtype=int)
+        status[:10] = 0
+        data = tmp_path / "data.csv"
+        write_dataset_csv(
+            str(data), cw.Dataset(times, status, rng.standard_normal((n, 3))), ["x1", "x2", "x3"]
+        )
+        grid = default_time_grid(times, status)
+        assert grid.size > 1 and {f"{t:g}" for t in grid} == {"1"}
+        report, rocdir = tmp_path / "report.json", tmp_path / "rocs"
+        assert run("evaluate", "--fit", fit, "--data", data, "--out", report, "--rocdir", rocdir) == 0
+        payload = read_json(report)
+        assert list(payload["auc_by_horizon"]) == ["1"]
+        assert payload["iauc"] is None and "iauc" in payload["skipped_horizons"]
+        assert sorted(os.listdir(rocdir)) == ["roc_1.csv", "roc_1.json"]
+        assert read_json(rocdir / "roc_1.json")["horizon"] == float(grid[0])
 
 
 class TestImportCost:
