@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--lambda1", type=float, default=0.0, help="intercept penalty weight")
     fit.add_argument("--lambda2", type=float, default=0.0, help="coefficient lasso weight")
     fit.add_argument("--epsilon", type=float, default=1e-6, help="stopping tolerance on the move of one EM map or Newton step")
-    fit.add_argument("--max-iters", type=int, default=2000, help="budget of EM maps and Newton steps together (SQUAREM extrapolations not counted)")
+    fit.add_argument("--max-iters", type=int, default=2000, help="budget of EM maps and Newton steps together")
     fit.add_argument("--sigma-floor", type=float, default=0.01, help="lower bound on sigma")
     fit.add_argument("--starts", type=int, default=1, help="number of multi-start runs")
     fit.add_argument("--seed", type=int, default=0, help="seed for multi-start jitter")

@@ -12,10 +12,9 @@ and then over sigma at fixed (alpha, beta) by safeguarded Newton on
 
 per group, i.e. the penalized expected complete log-likelihood.
 
-The outer loop is SQUAREM (Varadhan & Roland 2008) with the S3 step length:
-two EM maps, an extrapolated point that is kept only when it does not lower
-the penalized objective, then one more map from it.  Once a map moves theta
-by less than ``_NEWTON_START``, Newton steps on the penalized observed
+The outer loop is plain EM: each map takes theta to the M-step's theta at
+the winning probabilities of the last one.  Once a map moves theta by less
+than ``_NEWTON_START``, Newton steps on the penalized observed
 log-likelihood take over on the active set (every alpha, every sigma inside
 its bounds, every nonzero beta); a step that fails a safeguard hands the fit
 back to EM.  The Hessian is the closed-form observed information (Louis
@@ -106,10 +105,9 @@ class FitConfig:
     parameter change made by one EM map or one Newton step (1e-6 suits
     simulation-scale fits; 1e-3 is enough for large noisy data).
     ``max_em_iters`` caps the number of EM maps (one E-step plus one M-step
-    each) and Newton steps together; the SQUAREM extrapolations between maps
-    are not counted.  ``sigma_floor`` keeps every noise scale bounded away
-    from zero: the M-step keeps sigma in ``[sigma_floor, 10]``, so the floor
-    must lie in (0, 10].
+    each) and Newton steps together.  ``sigma_floor`` keeps every noise
+    scale bounded away from zero: the M-step keeps sigma in ``[sigma_floor,
+    10]``, so the floor must lie in (0, 10].
     ``n_starts > 1`` enables multi-start: additional starts jitter alpha and
     beta with Gaussian noise of scale 0.1 (seeded by ``seed``), and the
     start with the best final penalized objective wins.
@@ -144,9 +142,9 @@ class FitResult:
     flattened parameter layout of :meth:`Theta.flatten` and is None when the
     observed information could not be inverted (see ``warnings``).
     ``n_iters`` counts EM maps and Newton steps; the traces hold the start
-    and then one entry per map output or Newton step, never an extrapolated
-    point.  ``converged`` means the last map or Newton step moved theta by
-    less than ``epsilon`` and the final penalized objective is finite; after
+    and then one entry per map output or Newton step.  ``converged`` means
+    the last map or Newton step moved theta by less than ``epsilon`` and
+    the final penalized objective is finite; after
     a Newton step it also needs the KKT conditions of the coordinates held
     fixed.  ``kkt_residual`` is the largest violation of the penalized
     objective's KKT conditions at ``theta_hat``: the absolute gradient on the
@@ -369,8 +367,9 @@ class QGroupGradients:
     """Ascent gradient of the penalized group objective.
 
     ``beta`` uses the sign subgradient of the L1 term (zero at exact zeros);
-    the actual coefficient update uses soft-thresholding instead, which is
-    what produces exact zeros.  ``sigma_clipped`` flags that sigma was below
+    the M-step's exact zeros come instead from the proximal Newton step,
+    which solves its lasso model exactly on the active set
+    (:func:`_newton_step`).  ``sigma_clipped`` flags that sigma was below
     the floor and the gradient was evaluated at the floor.
     """
 
@@ -718,9 +717,6 @@ def _update_group(
     the step is +1 in alpha.  Never decreases the penalized group objective;
     ``stalled`` is set when a gradient is not finite or no halving is
     accepted.
-
-    The update is a function of the current parameters and eta alone, which
-    SQUAREM's extrapolation of the EM map relies on.
     """
     x = work.x_groups[l]
 
@@ -775,16 +771,15 @@ def _update_group(
     state.sigma = _sigma_newton(work.log_t - mu, weight, state.sigma, sigma_floor)
 
 
-def _m_step(
-    work: _Workspace,
-    states: Sequence[_GroupState],
-    eta: np.ndarray,
-    penalty: PenaltyConfig,
-    sigma_floor: float,
-) -> None:
-    """Update every group in place given eta."""
+def _em_map(
+    work: _Workspace, theta: Theta, eta: np.ndarray, penalty: PenaltyConfig, sigma_floor: float
+) -> tuple[Theta, list[int]]:
+    """The M-step's theta from ``theta`` given eta, and the groups whose
+    line search stalled."""
+    states = [_GroupState(g, sigma_floor) for g in theta.groups]
     for l, state in enumerate(states):
         _update_group(work, l, state, eta[:, l], penalty, sigma_floor)
+    return _theta_of(states), [l for l, state in enumerate(states) if state.stalled]
 
 
 def m_step(
@@ -802,10 +797,8 @@ def m_step(
     unchanged.
     """
     theta.validate_against(spec)
-    states = [_GroupState(g, config.sigma_floor) for g in theta.groups]
     eta = np.asarray(eta, dtype=float)
-    _m_step(_Workspace(spec, data), states, eta, penalty, config.sigma_floor)
-    return _theta_of(states)
+    return _em_map(_Workspace(spec, data), theta, eta, penalty, config.sigma_floor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -865,40 +858,6 @@ def _norm(change: np.ndarray) -> float:
     if top == 0.0:
         return 0.0
     return top * math.sqrt(float(np.sum((size / top) ** 2)))
-
-
-def _extrapolate(
-    work: _Workspace,
-    cycle: Sequence[Theta],
-    penalized_last: float,
-    penalty: PenaltyConfig,
-    sigma_floor: float,
-) -> _Point | None:
-    """SQUAREM's S3 step from theta0, theta1 = F(theta0), theta2 = F(theta1).
-
-    With r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and a = -|r|/|v|,
-    the point is theta0 - 2a r + a^2 v (Varadhan & Roland 2008).  Returns it,
-    or None when a >= -1 (the point would be theta2), when it is not finite,
-    puts a sigma below the floor, or has a penalized objective that is not
-    finite or is below theta2's.
-    """
-    x0, x1, x2 = (theta.flatten() for theta in cycle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = x1 - x0
-        v = x2 - 2.0 * x1 + x0
-        r_norm, v_norm = _norm(r), _norm(v)
-        if not v_norm > 0.0:
-            return None
-        a = -r_norm / v_norm
-        if not a < -1.0:
-            return None
-        x = x0 - 2.0 * a * r + a * a * v
-    if not (np.all(np.isfinite(x)) and np.all(x[work.sigma_at] >= sigma_floor)):
-        return None
-    point = _Point(work, Theta.from_flat(x, work.spec), penalty)
-    if not (math.isfinite(point.penalized) and point.penalized >= penalized_last):
-        return None
-    return point
 
 
 def _newton_system(
@@ -1012,14 +971,12 @@ def _newton_finish(
 
 
 def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta):
-    """SQUAREM-accelerated EM from ``theta`` with a Newton finish; returns
-    the :class:`FitResult` without standard errors and the observed
-    information at its ``theta_hat``.
+    """EM from ``theta`` with a Newton finish; returns the
+    :class:`FitResult` without standard errors and the observed information
+    at its ``theta_hat``.
 
-    Each cycle takes two EM maps, then tries the extrapolated point of
-    :func:`_extrapolate`; when it is accepted, one more map from it follows,
-    otherwise the next cycle starts from the second map's output.  A map
-    that moves theta by less than ``_NEWTON_START`` hands over to
+    Each EM map is :func:`_em_map` at the winning probabilities of its input.
+    A map that moves theta by less than ``_NEWTON_START`` hands over to
     :func:`_newton_finish`; when that stops short of convergence, EM maps
     resume from its last point, and Newton is tried again once the set of
     zero betas changes or ``_NEWTON_RETRY`` maps have passed.  Lasso zeros
@@ -1027,26 +984,23 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
     the maps and Newton steps together, each is one trace entry, and each
     one's move is its own stop test.
     """
-    states = [_GroupState(g, config.sigma_floor) for g in theta.groups]
     # One kernel evaluation per map or Newton step: it gives the trace entry
     # of its output and the next E-step.
-    point = _Point(work, _theta_of(states), penalty)
+    start = _theta_of([_GroupState(g, config.sigma_floor) for g in theta.groups])
+    point = _Point(work, start, penalty)
     loglik_trace, penalized_trace = [point.loglik], [point.penalized]
     warnings: list[str] = []
-    cycle = [point.theta]
     derivs = None  # score and information at point, once computed
     converged = False
     retry_zeros, maps_since_newton = None, 0
 
     while len(loglik_trace) <= config.max_em_iters:
         m = len(loglik_trace) - 1
-        _m_step(work, states, point.eta, penalty, config.sigma_floor)
+        theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
         warnings.extend(
-            f"iteration {m}: group {l} line search stalled; parameters kept"
-            for l, state in enumerate(states)
-            if state.stalled
+            f"iteration {m}: group {l} line search stalled; parameters kept" for l in stalled
         )
-        new = _Point(work, _theta_of(states), penalty)
+        new = _Point(work, theta, penalty)
         moved = _norm(new.theta.flatten() - point.theta.flatten())
         point, derivs = new, None
         loglik_trace.append(point.loglik)
@@ -1068,18 +1022,6 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
             if converged:
                 break
             retry_zeros, maps_since_newton = zeros, 0
-            cycle = [point.theta]
-        else:
-            cycle.append(point.theta)
-            if len(cycle) < 3:
-                continue
-            jump = _extrapolate(work, cycle, point.penalized, penalty, config.sigma_floor)
-            if jump is None:
-                cycle = [point.theta]
-                continue
-            point, cycle = jump, []
-        for state, g in zip(states, point.theta.groups):
-            state.alpha, state.beta, state.sigma = g.alpha, np.array(g.beta), g.sigma
 
     if derivs is None:
         derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
@@ -1106,10 +1048,9 @@ def fit_em(
     config: FitConfig | None = None,
     theta_init: Theta | None = None,
 ) -> FitResult:
-    """Fit the model by SQUAREM-accelerated EM with a Newton finish,
-    stopping when an EM map or a Newton step moves theta by less than
-    ``config.epsilon`` or the budget of ``config.max_em_iters`` maps and
-    steps runs out.
+    """Fit the model by EM with a Newton finish, stopping when an EM map or
+    a Newton step moves theta by less than ``config.epsilon`` or the budget
+    of ``config.max_em_iters`` maps and steps runs out.
 
     Non-convergence is reported through ``converged=False``, never raised.
     With ``theta_init`` omitted the default initialization is used, plus

@@ -274,7 +274,14 @@ def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             records.extend(csv.reader(handle))
     except UnicodeDecodeError as exc:
-        # ``records`` keeps what was read before the failure.
+        # ``records`` keeps what was read before the failure.  The text layer
+        # counts ``exc.start`` from the chunk it was decoding, so only a
+        # failing file is decoded again whole, for the offset in the file.
+        with open(path, "rb") as raw:
+            try:
+                raw.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         unreadable = ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except csv.Error as exc:
         unreadable = ConfigError(f"{path}:{len(records) + 1}: {exc}")

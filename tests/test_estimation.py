@@ -510,17 +510,29 @@ class TestFitEM:
         assert np.allclose(fit.winning_probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.max(np.abs(fit.theta_hat.flatten() - truth.flatten())) < 0.6
 
-    def test_one_iteration_is_e_step_then_m_step(self):
+    def test_one_iteration_is_e_step_then_m_step(self, monkeypatch):
+        # With the Newton finish switched off the driver is plain EM: its maps
+        # are the public E- and M-steps, bit for bit, one map or ten.
+        monkeypatch.setattr(estimation, "_NEWTON_START", 0.0)
         rng = np.random.default_rng(47)
         spec, truth, data = random_instance(rng, n=150, L=3)
-        penalty = cw.PenaltyConfig(0.3, 0.1)
-        config = cw.FitConfig(max_em_iters=1, compute_std_errors=False)
-        start = cw.initialize_theta(spec, data)
-        fit = cw.fit_em(spec, data, penalty, config, theta_init=start)
-        updated = cw.m_step(start, spec, data, cw.e_step(start, spec, data), penalty, config)
-        assert np.array_equal(fit.theta_hat.flatten(), updated.flatten())
-        assert np.array_equal(fit.winning_probs, cw.e_step(updated, spec, data))
-        assert fit.final_loglik == cw.log_likelihood(updated, spec, data)
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        cases = [
+            (spec, data, cw.PenaltyConfig(0.3, 0.1), 1),
+            (scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, 1.0), 10),
+        ]
+        for spec, data, penalty, n_maps in cases:
+            config = cw.FitConfig(max_em_iters=n_maps, compute_std_errors=False)
+            start = cw.initialize_theta(spec, data)
+            fit = cw.fit_em(spec, data, penalty, config, theta_init=start)
+            updated = start
+            for _ in range(n_maps):
+                eta = cw.e_step(updated, spec, data)
+                updated = cw.m_step(updated, spec, data, eta, penalty, config)
+            assert fit.n_iters == n_maps
+            assert np.array_equal(fit.theta_hat.flatten(), updated.flatten())
+            assert np.array_equal(fit.winning_probs, cw.e_step(updated, spec, data))
+            assert fit.final_loglik == cw.log_likelihood(updated, spec, data)
 
     def test_overflowing_gradient_stalls_without_runtime_warnings(self):
         rng = np.random.default_rng(1)
@@ -601,6 +613,9 @@ def one_group_far_start(alpha):
 
 
 class TestSquarem:
+    """The EM driver: plain EM maps with a Newton finish (named for the
+    extrapolation it once had)."""
+
     def test_matches_plain_em(self):
         # Plain EM stops once its move is below epsilon = 1e-6, which at a
         # contraction rate rho leaves it about 1e-6 / (1 - rho) from the fixed
@@ -632,10 +647,12 @@ class TestSquarem:
             zeros.append(np.count_nonzero(flat == 0.0))
             maps.append((fit.n_iters, n_maps))
         assert zeros[3] > 0  # example 3 at lambda2 = 60 has exact zeros
-        assert maps[0][0] < maps[0][1]  # extrapolation ran on example 1
+        # On example 1 the Newton finish needs fewer iterations than plain EM.
+        assert maps[0][0] < maps[0][1]
 
-    # At the default floor the extrapolated points are accepted; at 1.05,
-    # which the fitted sigmas of this dataset press against, they are not.
+    # At the default floor no sigma reaches it, and Newton steps finish the
+    # larger budgets; at 1.05, which the fitted sigmas of this dataset press
+    # against, the M-step pins one more sigma to the floor every few maps.
     @pytest.mark.parametrize("sigma_floor", [0.01, 1.05])
     @pytest.mark.parametrize("budget", range(1, 7))
     def test_budget_floor_and_monotone_trace(self, budget, sigma_floor):

@@ -117,7 +117,8 @@ class TestFirstFailingRecord:
 
     def test_undecodable_bytes_after_clean_rows(self, tmp_path):
         body = (HEADER + "1.0,1,0.5\n" * 3000).encode("utf-8") + b"\xff\n"
-        assert _error(tmp_path, body).startswith(": not UTF-8 text (invalid start byte")
+        # The 0xff byte is at len(HEADER) + 10 * 3000, far past the decoder's first chunk.
+        assert _error(tmp_path, body) == ": not UTF-8 text (invalid start byte at byte 30015)"
 
     def test_field_over_the_csv_size_limit(self, tmp_path):
         huge = "1" * (csv.field_size_limit() + 1)
