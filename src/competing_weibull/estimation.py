@@ -716,7 +716,8 @@ def _update_group(
     (:func:`_sigma_newton`).  While ``lambda1 * exp(-alpha)`` overflows,
     the step is +1 in alpha.  Never decreases the penalized group objective;
     ``stalled`` is set when a gradient is not finite or no halving is
-    accepted.
+    accepted; (alpha, beta) then stay at the last accepted step, and sigma is
+    still re-maximized.
     """
     x = work.x_groups[l]
 
@@ -793,8 +794,9 @@ def m_step(
     """One M-step: update every group independently given eta.
 
     Groups are separable, so updating them in any order yields the same
-    result.  A group whose inner line search cannot improve is left
-    unchanged.
+    result.  A group whose (alpha, beta) line search stalls keeps the alpha
+    and beta of its last accepted step (its start if none was accepted), and
+    its sigma is still re-maximized.
     """
     theta.validate_against(spec)
     eta = np.asarray(eta, dtype=float)
@@ -998,7 +1000,9 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         m = len(loglik_trace) - 1
         theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
         warnings.extend(
-            f"iteration {m}: group {l} line search stalled; parameters kept" for l in stalled
+            f"iteration {m}: group {l} (alpha, beta) line search stalled; "
+            "alpha and beta kept, sigma re-maximized"
+            for l in stalled
         )
         new = _Point(work, theta, penalty)
         moved = _norm(new.theta.flatten() - point.theta.flatten())

@@ -6,11 +6,13 @@ Equivalently, T is the minimum of independent Weibull times with scale
 ``exp(mu_l)`` and shape ``1/sigma_l``.  This module holds the parameter and
 data containers and the exact evaluation of the joint survival, hazard,
 density, per-group winning probabilities, latent-time sampling, and expected
-survival time with a Mill's-ratio tail bound.
+survival time by quadrature in log t on both sides of a cutoff, bracketed by
+Mill's-ratio tail bounds.
 
-All evaluation is done in log space (with group reductions applied in sorted
-order, so results are invariant under group relabelling) and every function
-here is a pure function of immutable inputs.
+All evaluation is done in log space (with group reductions applied in an
+order that does not depend on the group labels, so results are invariant
+under group relabelling) and every function here is a pure function of
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -465,6 +467,13 @@ def sample_event(theta: Theta, spec: ModelSpec, x_row, rng: np.random.Generator)
 
 # The automatic cutoff is the smallest time with S(t) <= this survival.
 _CUTOFF_SURVIVAL = 1e-6
+# Width in log t of the quadrature windows below and above the cutoff.
+_SPAN = 40.0
+# Rows per block of node evaluations, which bounds their transient memory.
+_ROW_CHUNK = 32
+# Growth factors exp(offset / sigma) are tabulated while they stay below
+# exp(_MAX_GROWTH); a narrower sigma class is evaluated in log space instead.
+_MAX_GROWTH = 700.0
 
 
 def _log_time_rule():
@@ -473,28 +482,31 @@ def _log_time_rule():
     The window [log cutoff - 40, log cutoff] is split into 12 panels whose
     widths halve toward the cutoff, where S falls fastest, with 16
     Gauss-Legendre nodes each.  The part of the integral below the window is
-    at most cutoff * exp(-40).
+    at most cutoff * exp(-40).  Mirrored about log(cutoff), the same nodes
+    and weights integrate the tail window [log cutoff, log cutoff + 40].
     """
-    span, panels = 40.0, 12
+    panels = 12
     x, w = np.polynomial.legendre.leggauss(16)
     widths = 0.5 ** np.arange(panels)
-    widths *= span / widths.sum()
-    left = np.cumsum(widths) - widths - span
+    widths *= _SPAN / widths.sum()
+    left = np.cumsum(widths) - widths - _SPAN
     offsets = left[:, None] + 0.5 * widths[:, None] * (x + 1.0)
     return offsets.ravel(), (0.5 * widths[:, None] * w).ravel()
 
 
 _NODE_OFFSETS, _NODE_WEIGHTS = _log_time_rule()
+# The finite window's offsets, then the tail window's.
+_WINDOW_OFFSETS = np.concatenate([_NODE_OFFSETS, -_NODE_OFFSETS])
 
 
 @dataclass(frozen=True)
 class ExpectedSurvivalTime:
     """Expected survival time split into finite and tail parts.
 
-    ``estimate = finite_part + tail_part`` where the tail term
-    ``S(cutoff) / h(cutoff)`` always lies inside
-    ``[tail_lower, tail_upper]``, the Mill's-ratio sandwich for the exact
-    tail integral.
+    ``estimate = finite_part + tail_part``: the integrals of S over
+    ``[0, cutoff]`` and ``[cutoff, infinity)``, both by quadrature in log t.
+    ``[tail_lower, tail_upper]`` is the Mill's-ratio sandwich for the exact
+    tail integral, kept as a bracket around ``tail_part``.
     """
 
     estimate: float
@@ -505,46 +517,93 @@ class ExpectedSurvivalTime:
     tail_part: float
 
 
-def _log_survival(mu: np.ndarray, sigma: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """Per-row log S at one log time per row."""
-    _, cumhaz = _hazards(mu, sigma, log_t[:, None])
-    return -_sorted_rowsum(cumhaz)
+def _sigma_classes(sigma: np.ndarray):
+    """Group indices by equal sigma, in ascending order of sigma, and those sigmas.
+
+    Expected-time reductions sum each class in sorted order and then the
+    classes left to right, an order that does not depend on the group labels.
+    The groups of one class share every growth factor t^(1/sigma).
+    """
+    class_sigma = np.unique(sigma)
+    return [np.flatnonzero(sigma == s) for s in class_sigma], class_sigma
+
+
+def _class_sums(values: np.ndarray, classes) -> np.ndarray:
+    """(n, D) sums over each class's columns of an (n, L) array."""
+    return np.column_stack(
+        [
+            values[:, cols[0]] if cols.size == 1 else np.sum(np.sort(values[:, cols], axis=1), axis=1)
+            for cols in classes
+        ]
+    )
+
+
+def _left_sum(parts: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the class axis of an (n, D) array."""
+    total = parts[:, 0]
+    for d in range(1, parts.shape[1]):
+        total = total + parts[:, d]
+    return total
 
 
 def _auto_cutoff(mu: np.ndarray, sigma: np.ndarray, tail_survival: float) -> np.ndarray:
-    """Per-row smallest time with S <= tail_survival, by vectorized bisection.
+    """Per-row smallest time with S <= tail_survival, by Newton's method in log t.
 
-    Guarantees ``S(cutoff) <= tail_survival`` and, to bisection accuracy,
+    The cutoff is the root of ``g(u) = log sum_l exp((u - mu_l) / sigma_l) -
+    log(-log tail_survival)``, which is convex and increasing in u = log t.
+    Started at the one-group upper bracket, where g >= 0, Newton falls onto
+    the root from above, so each row stops once its u no longer decreases.
+    Guarantees ``S(cutoff) <= tail_survival`` and, to rounding,
     ``S(0.99 * cutoff) > tail_survival``.
     """
-    target = math.log(tail_survival)
-    # The total cumulative hazard -target is reached no later than the first
-    # group reaches it alone, and no earlier than the first reaches 1/L of it.
+    classes, class_sigma = _sigma_classes(sigma)
+    log_target = math.log(-math.log(tail_survival))
+    # The total cumulative hazard reaches the target no later than the first
+    # group reaches it alone.
+    u = np.min(mu + sigma * log_target, axis=-1)
     with np.errstate(over="ignore"):
-        hi = np.min(np.exp(mu + sigma * math.log(-target)), axis=-1)
-        lo = np.min(np.exp(mu + sigma * math.log(-target / mu.shape[-1])), axis=-1)
-    if not np.all(np.isfinite(hi)):
-        raise ConfigError("could not bracket the survival cutoff")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        active = (mid > lo) & (mid < hi)
-        if not active.any():
+        if not np.all(np.isfinite(np.exp(u))):
+            raise ConfigError("could not bracket the survival cutoff")
+    # Only rows still moving are evaluated again; a row that stopped would
+    # repeat its last step.
+    rows = np.arange(mu.shape[0])
+    for _ in range(100):
+        # every z <= log_target here, as u never exceeds its start
+        z = (u[rows, None] - mu[rows]) / sigma
+        top = np.max(z, axis=1)
+        parts = _class_sums(np.exp(z - top[:, None]), classes)
+        total = _left_sum(parts)
+        new = u[rows] - (top + np.log(total) - log_target) * total / _left_sum(parts / class_sigma)
+        down = new < u[rows]
+        rows = rows[down]
+        if not rows.size:
             break
-        hit = _log_survival(mu, sigma, np.log(mid)) <= target
-        hi = np.where(active & hit, mid, hi)
-        lo = np.where(active & ~hit, mid, lo)
-    # the log-space bisection can leave S(hi) a few ulps above the target
-    while True:
-        over = np.exp(_log_survival(mu, sigma, np.log(hi))) > tail_survival
-        if not over.any():
-            return hi
-        hi = np.where(over, np.nextafter(hi, np.inf), hi)
+        u[rows] = new[down]
+    # Rounding can leave S(cutoff) a few ulps above the target.  S is summed
+    # here as survival() sums it, so the guarantee holds for that function.
+    cutoff = np.exp(u)
+    rows = np.arange(mu.shape[0])
+    while rows.size:
+        _, cumhaz = _hazards(mu[rows], sigma, np.log(cutoff[rows])[:, None])
+        rows = rows[np.exp(-_sorted_rowsum(cumhaz)) > tail_survival]
+        cutoff[rows] = np.nextafter(cutoff[rows], np.inf)
+    return cutoff
 
 
-def _tail_bounds(mu: np.ndarray, sigma: np.ndarray, cutoff: np.ndarray):
-    """Per-row (lower, point, upper) Mill's-ratio sandwich beyond ``cutoff``."""
-    log_haz, cumhaz = _hazards(mu, sigma, np.log(cutoff)[:, None])
-    s = np.exp(-_sorted_rowsum(cumhaz))
+def _cutoff_hazards(mu: np.ndarray, sigma: np.ndarray, classes, cutoff: np.ndarray) -> np.ndarray:
+    """(n, D) per-class cumulative hazards at each row's cutoff."""
+    _, cumhaz = _hazards(mu, sigma, np.log(cutoff)[:, None])
+    return _class_sums(cumhaz, classes)
+
+
+def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, class_sigma: np.ndarray):
+    """Per-row (lower, point, upper) Mill's-ratio sandwich beyond ``cutoff``.
+
+    ``amounts`` holds the per-class cumulative hazards at the cutoff, so
+    ``cutoff * h(cutoff) = sum_d amounts_d / sigma_d``; ``point`` is
+    ``S(cutoff) / h(cutoff)``.
+    """
+    s = np.exp(-_left_sum(amounts))
     bad = np.flatnonzero(~(s < 0.5))
     if bad.size:
         i = bad[0]
@@ -552,8 +611,7 @@ def _tail_bounds(mu: np.ndarray, sigma: np.ndarray, cutoff: np.ndarray):
             f"cutoff {cutoff[i]} violates S(cutoff) < 0.5 (got S = {s[i]}); "
             "increase the cutoff"
         )
-    h = np.exp(_log_total_hazard(log_haz))
-    mass = cutoff * h
+    mass = _left_sum(amounts / class_sigma)
     bad = np.flatnonzero(~(mass > 1.0))
     if bad.size:
         i = bad[0]
@@ -561,11 +619,56 @@ def _tail_bounds(mu: np.ndarray, sigma: np.ndarray, cutoff: np.ndarray):
             f"cutoff {cutoff[i]} violates cutoff * h(cutoff) > 1 (got {mass[i]}); "
             "the tail bounds are not well-defined"
         )
-    point = s / h
-    sigma_min = float(np.min(sigma))
-    lower = point * (1.0 - (1.0 / sigma_min) / mass)
+    point = cutoff * s / mass
+    lower = point * (1.0 - (1.0 / class_sigma[0]) / mass)
     upper = point * (1.0 + 1.0 / (mass - 1.0))
     return lower, point, upper
+
+
+def _window_integrals(mu, cutoff, classes, class_sigma, amounts):
+    """Per-row integrals of S over the finite and the tail window of the cutoff.
+
+    At the node u = log cutoff + o, class d's cumulative hazard is
+    ``amounts_d * exp(o / sigma_d)``, so one (2K, D) growth table and the
+    cutoff's amounts give log S at every node, and the integrand in u is
+    ``cutoff * exp(o - H)``.
+
+    The tail window [log cutoff, log cutoff + 40] is always wide enough:
+    ``_tail_bounds`` has checked ``cutoff * h(cutoff) = sum_l H_l / sigma_l >
+    1``, and ``H_l * e^(40 / sigma_l) >= (H_l / sigma_l) * 40 e`` since
+    ``e^x >= e x``, so H is at least 40 e ~ 109 at the window's far end.
+    Beyond it the integrand is below ``cutoff * e^(40 - 109)`` for any sigma,
+    and still falling, because ``sum_l H_l / sigma_l > 1`` only grows with t.
+    """
+    k = _NODE_OFFSETS.size
+    tabulated = _SPAN / class_sigma <= _MAX_GROWTH
+    log_cutoff = np.log(cutoff)
+    finite, tail = np.empty(mu.shape[0]), np.empty(mu.shape[0])
+    # A cumulative hazard that overflows to inf gives S = 0, which is exact.
+    with np.errstate(over="ignore"):
+        growth = np.exp(_WINDOW_OFFSETS / class_sigma[:, None])
+        for start in range(0, mu.shape[0], _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            cumhaz = None
+            for d, cols in enumerate(classes):
+                if tabulated[d]:
+                    term = amounts[rows, d, None] * growth[d]
+                else:
+                    # exp(40 / sigma) overflows, and an amount that underflowed
+                    # at the cutoff may grow to matter in the tail window.
+                    z = (log_cutoff[rows, None] - mu[rows][:, cols]) / class_sigma[d]
+                    top = np.max(z, axis=1)
+                    shifted = np.sort(np.exp(z - top[:, None]), axis=1)
+                    log_amount = top + np.log(np.sum(shifted, axis=1))
+                    term = np.exp(log_amount[:, None] + _WINDOW_OFFSETS / class_sigma[d])
+                if cumhaz is None:
+                    cumhaz = term
+                else:
+                    cumhaz += term
+            integrand = np.exp(np.subtract(_WINDOW_OFFSETS, cumhaz, out=cumhaz), out=cumhaz)
+            finite[rows] = np.einsum("ij,j->i", integrand[:, :k], _NODE_WEIGHTS)
+            tail[rows] = np.einsum("ij,j->i", integrand[:, k:], _NODE_WEIGHTS)
+    return cutoff * finite, cutoff * tail
 
 
 def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
@@ -577,18 +680,15 @@ def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
     """
     mu = _mu_rows(theta, spec, covariates)
     sigma = _sigmas(theta)
+    classes, class_sigma = _sigma_classes(sigma)
     if cutoff is None:
         cutoff = _auto_cutoff(mu, sigma, _CUTOFF_SURVIVAL)
     else:
         cutoff = np.full(mu.shape[0], _check_time(cutoff))
-    lower, point, upper = _tail_bounds(mu, sigma, cutoff)
-    # One (n, L) kernel call per node keeps transient memory at the size of mu.
-    log_cutoff = np.log(cutoff)
-    finite = np.zeros(mu.shape[0])
-    for offset, weight in zip(_NODE_OFFSETS, _NODE_WEIGHTS):
-        log_t = log_cutoff + offset
-        finite += weight * np.exp(log_t + _log_survival(mu, sigma, log_t))
-    return finite + point, lower, upper, cutoff, finite, point
+    amounts = _cutoff_hazards(mu, sigma, classes, cutoff)
+    lower, _, upper = _tail_bounds(cutoff, amounts, class_sigma)
+    finite, tail = _window_integrals(mu, cutoff, classes, class_sigma, amounts)
+    return finite + tail, lower, upper, cutoff, finite, tail
 
 
 def auto_cutoff(
@@ -605,13 +705,16 @@ def tail_integral_bounds(theta: Theta, spec: ModelSpec, x_row, cutoff: float):
     """Mill's-ratio sandwich for the tail integral of S beyond ``cutoff``.
 
     Returns ``(lower, point, upper)`` where ``point = S(cutoff)/h(cutoff)`` is
-    the tail approximation and the exact integral of S over
+    the Mill's-ratio approximation and the exact integral of S over
     ``[cutoff, infinity)`` lies between the bounds.  Requires
     ``S(cutoff) < 0.5`` and ``cutoff * h(cutoff) > 1``.
     """
     cutoff = np.array([_check_time(cutoff)])
     mu = _mu_rows(theta, spec, [x_row])
-    return tuple(float(v[0]) for v in _tail_bounds(mu, _sigmas(theta), cutoff))
+    sigma = _sigmas(theta)
+    classes, class_sigma = _sigma_classes(sigma)
+    amounts = _cutoff_hazards(mu, sigma, classes, cutoff)
+    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, class_sigma))
 
 
 def expected_survival_time(
@@ -620,10 +723,11 @@ def expected_survival_time(
     """Expected survival time E[T | x] = integral of S(t | x) over t > 0.
 
     The integral over ``[0, cutoff]`` is evaluated by a fixed 192-node
-    Gauss-Legendre rule in log t (relative error below 1e-12 on the finite
-    part); the remainder is approximated by ``S(cutoff) / h(cutoff)`` and
-    bracketed by the Mill's-ratio bounds.  When ``cutoff`` is omitted it is
-    the smallest time with ``S(t) <= 1e-6``.
+    Gauss-Legendre rule in log t, and the tail beyond the cutoff by the same
+    rule mirrored onto ``[cutoff, cutoff * e^40]``; against closed forms the
+    estimate is within rel 1e-12.  The Mill's-ratio bounds bracket the
+    tail.  When ``cutoff`` is omitted it is the smallest time with
+    ``S(t) <= 1e-6``.
     """
     parts = _expected_times(theta, spec, [x_row], cutoff)
     return ExpectedSurvivalTime(*(float(v[0]) for v in parts))

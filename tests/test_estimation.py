@@ -547,6 +547,26 @@ class TestFitEM:
             fit = cw.fit_em(spec, data, theta_init=start)
         assert any("stalled" in w for w in fit.warnings)
 
+    def test_stalled_group_keeps_alpha_beta_and_moves_sigma(self):
+        # The (alpha, beta) search of group 0 stalls at once from this start;
+        # its sigma is still re-maximized, and the warning says so.
+        rng = np.random.default_rng(1)
+        spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([1])], p=2)
+        truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(1.3, [0.5], 1.2)])
+        x = rng.standard_normal((300, 2))
+        times, _ = cw.sample_events(truth, spec, x, rng)
+        data = cw.Dataset(times, np.ones(300, dtype=int), x)
+        start = cw.Theta([cw.GroupParams(-8.0, [0.9], 0.01), cw.GroupParams(1.3, [0.5], 1.2)])
+        config = cw.FitConfig(max_em_iters=1, compute_std_errors=False)
+        fit = cw.fit_em(spec, data, theta_init=start, config=config)
+        group = fit.theta_hat.groups[0]
+        assert group.alpha == -8.0 and np.array_equal(group.beta, [0.9])
+        assert group.sigma != 0.01
+        assert fit.warnings == (
+            "iteration 0: group 0 (alpha, beta) line search stalled; "
+            "alpha and beta kept, sigma re-maximized",
+        )
+
     def test_fit_does_not_depend_on_blas_threads(self):
         # Example 2 at n = 12000: a threaded BLAS dot in the M-step made the
         # tenth iteration differ between one and two threads.

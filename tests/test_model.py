@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import competing_weibull as cw
 from competing_weibull.model import (
+    _ROW_CHUNK,
     _expected_times,
     _hazards,
     _mu_rows,
@@ -357,9 +358,8 @@ class TestExpectedSurvivalTime:
             assert cw.survival(theta, spec, [], cutoff) < 0.1
             lower, point, upper = tail_integral_bounds(theta, spec, [], cutoff)
             ts = np.linspace(cutoff, 10 * cutoff, 20_001)
-            tail = float(
-                np.trapezoid([cw.survival(theta, spec, [], t) for t in ts], ts)
-            )
+            log_s = -sum(np.exp((np.log(ts) - g.alpha) / g.sigma) for g in theta.groups)
+            tail = float(np.trapezoid(np.exp(log_s), ts))
             assert lower <= tail <= upper
             assert lower <= point <= upper
 
@@ -369,14 +369,35 @@ class TestExpectedSurvivalTime:
         assert cw.survival(theta, spec, [], cutoff) <= 1e-6
         assert cw.survival(theta, spec, [], cutoff * 0.99) > 1e-6
 
-    @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_auto_cutoff_hits_target_over_a_random_grid(self):
+        rng = np.random.default_rng(404)
+        for _ in range(60):
+            L = int(rng.integers(1, 5))
+            spec = cw.ModelSpec([cw.GroupSpec([])] * L, p=0)
+            theta = cw.Theta(
+                [
+                    cw.GroupParams(
+                        rng.normal(0.5, 2.0), [], math.exp(rng.uniform(math.log(0.01), math.log(13.0)))
+                    )
+                    for _ in range(L)
+                ]
+            )
+            for tail_survival in (1e-6, 0.05):
+                cutoff = cw.auto_cutoff(theta, spec, [], tail_survival)
+                assert cw.survival(theta, spec, [], cutoff) <= tail_survival
+                assert cw.survival(theta, spec, [], 0.99 * cutoff) > tail_survival
+
+    @pytest.mark.parametrize(
+        "sigma", [0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0, 13.0]
+    )
     def test_single_group_closed_form_grid(self, sigma):
         # E[T] = e^mu Gamma(1 + sigma), and the part below the cutoff is
         # e^mu Gamma(1 + sigma) P(sigma, H(cutoff)) with P the regularized
-        # lower incomplete gamma function.  The S/h tail term is what limits
-        # the estimate: within rel 1e-6 up to sigma = 1.5 (its error reaches
-        # 1e-6 at sigma = 2 and 5e-4 at sigma = 5), and inside the Mill's-ratio
-        # sandwich everywhere.  Small sigma once overflowed to NaN.
+        # lower incomplete gamma function.  Both windows are integrated by
+        # quadrature, so the estimate is within rel 1e-12 over the whole grid
+        # (the former S/h tail term was off by 5e-4 at sigma = 5 and 7e-2 at
+        # sigma = 10), and the exact tail lies inside the Mill's-ratio
+        # sandwich.  Small sigma once overflowed to NaN.
         from scipy import special
 
         spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
@@ -387,8 +408,44 @@ class TestExpectedSurvivalTime:
             finite = exact * float(special.gammainc(sigma, reached))
             assert result.finite_part == pytest.approx(finite, rel=1e-12)
             assert result.tail_lower <= exact - finite <= result.tail_upper
-            if sigma <= 1.5:
-                assert result.estimate == pytest.approx(exact, rel=1e-6)
+            assert result.tail_lower <= result.tail_part <= result.tail_upper
+            assert result.estimate == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 13.0, 40.0])
+    @pytest.mark.parametrize("reached", [2.5, 13.8, 41.0, 60.0])
+    def test_single_group_tail_against_incomplete_gamma(self, sigma, reached):
+        # The tail beyond a cutoff with H(cutoff) = reached is
+        # e^mu sigma Gamma(sigma) Q(sigma, reached), Q the regularized upper
+        # incomplete gamma function.  tail_part is checked itself: it is
+        # estimate - finite_part before rounding, and that difference cancels
+        # once Q is far below the precision of the estimate.
+        from scipy import special
+
+        mu = 0.3
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        theta = cw.Theta([cw.GroupParams(mu, [], sigma)])
+        cutoff = math.exp(mu + sigma * math.log(reached))
+        if reached / sigma <= 1.0:
+            # cutoff * h(cutoff) = H / sigma: the tail bounds are undefined
+            with pytest.raises(cw.ConfigError, match="cutoff \\* h\\(cutoff\\) > 1"):
+                cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+            return
+        result = cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+        exact = math.exp(mu) * sigma * math.gamma(sigma) * float(special.gammaincc(sigma, reached))
+        assert result.tail_part == pytest.approx(exact, rel=1e-12)
+        assert result.estimate == result.finite_part + result.tail_part
+        assert result.tail_lower <= result.tail_part <= result.tail_upper
+
+    def test_narrow_group_far_beyond_the_cutoff_changes_nothing(self):
+        # The second group's cumulative hazard underflows at the cutoff and
+        # its growth factor exp(40 / 0.01) overflows.  Its time e^11 lies where
+        # the unit exponential's survival is 0, so E[T] = 1 and the tail is
+        # e^-cutoff.
+        spec = cw.ModelSpec([cw.GroupSpec([]), cw.GroupSpec([])], p=0)
+        theta = cw.Theta([cw.GroupParams(0.0, [], 1.0), cw.GroupParams(11.0, [], 0.01)])
+        result = cw.expected_survival_time(theta, spec, [])
+        assert result.estimate == pytest.approx(1.0, rel=1e-12)
+        assert result.tail_part == pytest.approx(math.exp(-result.cutoff), rel=1e-12)
 
     def test_tolerance_against_closed_form_and_log_trapezoid(self, mixed_pair):
         # The stated tolerance of expected_survival_time: rel 1e-6 on the
@@ -441,3 +498,33 @@ class TestBatchedRowsMatchScalarViews:
             assert expected[i] == pytest.approx(
                 cw.expected_survival_time(theta, spec, x[i]).estimate, rel=1e-12
             )
+
+
+class TestExpectedTimesChunks:
+    def test_rows_across_chunk_boundaries_equal_their_scalar_views(self):
+        scen = cw.builtin_scenario(2, 0.0)
+        c = _ROW_CHUNK
+        x = np.random.default_rng(7).standard_normal((2 * c + 5, scen.model.p))
+        parts = _expected_times(scen.truth, scen.model, x)
+        for i in (0, c - 1, c, 2 * c - 1, 2 * c, 2 * c + 4):
+            one = cw.expected_survival_time(scen.truth, scen.model, x[i])
+            assert [v[i] for v in parts] == pytest.approx(
+                [one.estimate, one.tail_lower, one.tail_upper, one.cutoff, one.finite_part, one.tail_part],
+                rel=1e-12,
+            )
+
+
+class TestExpectedTimesRelabelling:
+    def test_every_output_is_bit_identical_under_group_permutations(self):
+        # The expected-time reductions run in an order that does not depend on
+        # the group labels, so permuting the groups changes no output bit.
+        import itertools
+
+        scen = cw.builtin_scenario(2, 0.0)
+        x = np.random.default_rng(2025).standard_normal((50, scen.model.p))
+        reference = _expected_times(scen.truth, scen.model, x)
+        for perm in itertools.permutations(range(scen.model.n_groups)):
+            spec = cw.ModelSpec([scen.model.groups[l] for l in perm], p=scen.model.p)
+            theta = cw.Theta([scen.truth.groups[l] for l in perm])
+            for got, want in zip(_expected_times(theta, spec, x), reference):
+                assert np.array_equal(got, want)
