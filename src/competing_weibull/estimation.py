@@ -38,13 +38,13 @@ from .model import (
     Theta,
     EULER_GAMMA,
     parameter_names,
+    _canonical,
     _group_designs,
     _group_mu,
     _hazards,
     _log_total_hazard,
     _mu_matrix,
     _sigmas,
-    _sorted_rowsum,
     _winning,
 )
 
@@ -181,10 +181,11 @@ class _Workspace:
     """Per-fit cache: log times, event mask, per-group design matrices, and
     the positions of the parameters in the ``Theta.flatten`` layout.
 
-    ``canonical`` lists the flat positions group by group in the order of
-    the groups' covariate-index tuples, which :meth:`ModelSpec.check_identifiable`
-    makes unique: matrices are assembled and factored in that order, so
-    relabelled fits stay bit-identical.
+    The groups are those of ``spec`` in its own order.  Fits and the public
+    functions that reduce over groups build it on the spec in canonical
+    order (:func:`~competing_weibull.model._canonical`), so every sum,
+    matrix and factorization is laid out in that order and relabelled fits
+    stay bit-identical.
     """
 
     def __init__(self, spec: ModelSpec, data: Dataset):
@@ -197,11 +198,6 @@ class _Workspace:
         self.sigma_at = ends - 1
         self.is_beta = np.ones(ends[-1], dtype=bool)
         self.is_beta[self.alpha_at] = self.is_beta[self.sigma_at] = False
-        self.order = sorted(range(spec.n_groups), key=lambda l: spec.groups[l].covariate_indices)
-        self.canonical = np.concatenate(
-            [np.arange(self.alpha_at[l], ends[l]) for l in self.order]
-        )
-        self.flat_order = np.argsort(self.canonical)
 
     def hazards(self, theta: Theta):
         """(n, L) per-group log hazards and cumulative hazards at the data times."""
@@ -210,26 +206,13 @@ class _Workspace:
 
 def _loglik_terms(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
     """Per-subject observed log-likelihood contributions from the kernel arrays."""
-    return work.delta * _log_total_hazard(log_haz) - _sorted_rowsum(cumhaz)
+    return work.delta * _log_total_hazard(log_haz) - np.sum(cumhaz, axis=-1)
 
 
 def _loglik(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> float:
     """Sum of :func:`_loglik_terms`, quiet when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sum(_loglik_terms(work, log_haz, cumhaz)))
-
-
-def _loglik_and_winning(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray):
-    """:func:`_loglik` and ``_winning(log_haz)`` from one pass of row
-    reductions: the row maximum, the shifted exponentials and their sorted
-    sum serve both, bit for bit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = np.max(log_haz, axis=-1)
-        shifted = np.exp(log_haz - top[:, None])
-        total = _sorted_rowsum(shifted)
-        log_total = top + np.log(total)
-        loglik = float(np.sum(work.delta * log_total - _sorted_rowsum(cumhaz)))
-        return loglik, shifted / total[:, None]
 
 
 class _Point:
@@ -239,7 +222,9 @@ class _Point:
     def __init__(self, work: _Workspace, theta: Theta, penalty: PenaltyConfig):
         self.theta = theta
         log_haz, self.cumhaz = work.hazards(theta)
-        self.loglik, self.eta = _loglik_and_winning(work, log_haz, self.cumhaz)
+        self.loglik = _loglik(work, log_haz, self.cumhaz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.eta = _winning(log_haz)
         self.penalized = _penalized_loglik(self.loglik, theta, penalty)
 
 
@@ -281,14 +266,12 @@ def _penalized(q: float, alpha: float, beta: np.ndarray, penalty: PenaltyConfig)
 
 
 def _penalized_loglik(loglik: float, theta: Theta, penalty: PenaltyConfig) -> float:
-    # The negated group penalties are added in sorted order, so the objective
-    # does not depend on the group labelling.
-    return loglik + sum(sorted(_penalized(0.0, g.alpha, g.beta, penalty) for g in theta.groups))
+    return loglik + sum(_penalized(0.0, g.alpha, g.beta, penalty) for g in theta.groups)
 
 
 def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
     """Observed log-likelihood: sum of delta*log h(T) + log S(T) over subjects."""
-    theta.validate_against(spec)
+    theta, spec, _, _ = _canonical(theta, spec)
     work = _Workspace(spec, data)
     terms = _loglik_terms(work, *work.hazards(theta))
     bad = np.flatnonzero(~np.isfinite(terms))
@@ -307,9 +290,9 @@ def e_step(theta: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     censoring time; they do not enter the fitting objective but are reported
     for inspection.
     """
-    theta.validate_against(spec)
+    theta, spec, _, back = _canonical(theta, spec)
     log_haz, _ = _Workspace(spec, data).hazards(theta)
-    return _winning(log_haz)
+    return _winning(log_haz)[:, back]
 
 
 def _q_group_values(
@@ -446,10 +429,10 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
         + e e' sum (w - H) / sigma^2.
 
     The reductions are numpy sums and einsums, not BLAS products, over
-    blocks of ``_INFO_ROWS`` rows laid out in the canonical group order, so
-    the result does not depend on the thread count or on the group
-    labelling, and its memory does not grow with n.  Entries that
-    overflow come out non-finite, quietly.
+    blocks of ``_INFO_ROWS`` rows laid out in the workspace's group order,
+    the canonical one in a fit, so the result does not depend on the thread
+    count or on the group labelling, and its memory does not grow with n.
+    Entries that overflow come out non-finite, quietly.
     """
     d = theta.n_params
     score = np.zeros(d)
@@ -459,11 +442,9 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
             rows = slice(start, start + _INFO_ROWS)
             delta = work.delta[rows]
             eta_a = np.empty((d, delta.shape[0]))  # a, then eta a, one row per parameter
-            pos = 0
-            for l in work.order:
-                g, x = theta.groups[l], work.x_groups[l][rows]
-                block = slice(pos, pos + x.shape[1] + 2)
-                pos = block.stop
+            for l, g in enumerate(theta.groups):
+                x = work.x_groups[l][rows]
+                block = slice(work.alpha_at[l], work.sigma_at[l] + 1)
                 a = eta_a[block]
                 a[0] = 1.0 / g.sigma
                 np.divide(x.T, g.sigma, out=a[1:-1])
@@ -472,7 +453,7 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
                 h, w = cumhaz[rows, l], delta * eta[rows, l]
                 excess = h - w
                 score[block] += np.einsum("ji,i->j", a, excess)
-                score[pos - 1] -= float(np.sum(h)) / g.sigma
+                score[work.sigma_at[l]] -= float(np.sum(h)) / g.sigma
                 own = np.einsum("ji,i,ki->jk", a, excess, a)
                 w_a = np.einsum("ji,i->j", a, w) / g.sigma
                 own[-1] -= w_a
@@ -481,9 +462,7 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
                 info[block, block] += own
                 a *= eta[rows, l]
             info += np.einsum("ji,i,ki->jk", eta_a, delta, eta_a)
-    info = np.triu(info) + np.triu(info, 1).T
-    back = work.flat_order
-    return score[back], info[np.ix_(back, back)]
+    return score, np.triu(info) + np.triu(info, 1).T
 
 
 def _observed_information(work: _Workspace, theta: Theta):
@@ -849,12 +828,11 @@ def _jittered(theta: Theta, rng: np.random.Generator) -> Theta:
 def _norm(change: np.ndarray) -> float:
     """Euclidean norm of a parameter change; inf when an entry is not finite.
 
-    The squares are summed in sorted order, so the norm does not depend on
-    the group labelling, and scaled by the largest entry, so it neither
+    The squares are scaled by the largest entry, so the norm neither
     overflows nor warns.
     """
-    size = np.sort(np.abs(change))
-    top = float(size[-1])
+    size = np.abs(change)
+    top = float(np.max(size))
     if not math.isfinite(top):
         return math.inf
     if top == 0.0:
@@ -904,21 +882,20 @@ def _newton_system(
     return grad, neg_hess, active, resid
 
 
-def _active_newton_step(work: _Workspace, grad, neg_hess, active) -> np.ndarray | None:
-    """The Newton step on the active set, zero elsewhere, solved in the
-    canonical group order; None unless the active block of ``neg_hess`` has
-    a Cholesky factor and the step is finite."""
-    order = work.canonical[active[work.canonical]]
-    block = neg_hess[np.ix_(order, order)]
-    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(grad[order]))):
+def _active_newton_step(grad, neg_hess, active) -> np.ndarray | None:
+    """The Newton step on the active set, zero elsewhere; None unless the
+    active block of ``neg_hess`` has a Cholesky factor and the step is
+    finite."""
+    block = neg_hess[np.ix_(active, active)]
+    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(grad[active]))):
         return None
     try:
         np.linalg.cholesky(block)
-        solved = np.linalg.solve(block, grad[order])
+        solved = np.linalg.solve(block, grad[active])
     except np.linalg.LinAlgError:
         return None
     step = np.zeros(grad.shape[0])
-    step[order] = solved
+    step[active] = solved
     return step if np.all(np.isfinite(step)) else None
 
 
@@ -948,7 +925,7 @@ def _newton_finish(
         fixed_ok = bool(np.all(resid[~active] == 0.0))
         if moved < config.epsilon or not fixed_ok or len(trace) == budget:
             return trace, point, moved < config.epsilon and fixed_ok, derivs
-        step = _active_newton_step(work, grad, neg_hess, active)
+        step = _active_newton_step(grad, neg_hess, active)
         if step is None:
             return trace, point, False, derivs
         x = point.theta.flatten()
@@ -972,10 +949,11 @@ def _newton_finish(
         derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
 
 
-def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta):
+def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta, labels):
     """EM from ``theta`` with a Newton finish; returns the
     :class:`FitResult` without standard errors and the observed information
-    at its ``theta_hat``.
+    at its ``theta_hat``, both in the workspace's group order.  Warnings
+    name group ``l`` as ``labels[l]``.
 
     Each EM map is :func:`_em_map` at the winning probabilities of its input.
     A map that moves theta by less than ``_NEWTON_START`` hands over to
@@ -1000,7 +978,7 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         m = len(loglik_trace) - 1
         theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
         warnings.extend(
-            f"iteration {m}: group {l} (alpha, beta) line search stalled; "
+            f"iteration {m}: group {labels[l]} (alpha, beta) line search stalled; "
             "alpha and beta kept, sigma re-maximized"
             for l in stalled
         )
@@ -1080,10 +1058,13 @@ def fit_em(
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
             starts.append(_jittered(base, rng))
 
-    work = _Workspace(spec, data)
+    # The fit runs with the groups in canonical order, so relabelled fits are
+    # bit-identical; its results return to the caller's labels here.
+    _, canonical_spec, order, back = _canonical(starts[0], spec)
+    work = _Workspace(canonical_spec, data)
     best = None
     for start in starts:
-        result, info = _run_em(work, penalty, config, start)
+        result, info = _run_em(work, penalty, config, _canonical(start, spec)[0], order)
         if best is None or result.final_penalized > best[0].final_penalized:
             best = result, info
 
@@ -1092,10 +1073,16 @@ def fit_em(
     std = None
     if config.compute_std_errors:
         try:
-            std = _standard_errors(work, info)
+            std = _standard_errors(info, spec, order)
         except (SingularHessianError, NumericError) as exc:
             warnings.append(f"standard errors unavailable: {exc}")
-    return replace(result, std_errors=std, warnings=tuple(warnings))
+    return replace(
+        result,
+        theta_hat=Theta([result.theta_hat.groups[k] for k in back]),
+        std_errors=std,
+        winning_probs=result.winning_probs[:, back],
+        warnings=tuple(warnings),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1112,32 +1099,38 @@ def standard_errors(theta_hat: Theta, spec: ModelSpec, data: Dataset) -> np.ndar
     it is not positive definite, which typically signals an eliminated or
     duplicated group, and :class:`NumericError` when an entry is not finite.
     """
-    theta_hat.validate_against(spec)
-    work = _Workspace(spec, data)
-    return _standard_errors(work, _observed_information(work, theta_hat)[1])
+    theta, canonical_spec, order, _ = _canonical(theta_hat, spec)
+    info = _observed_information(_Workspace(canonical_spec, data), theta)[1]
+    return _standard_errors(info, spec, order)
 
 
-def _standard_errors(work: _Workspace, info: np.ndarray) -> np.ndarray:
-    """Square roots of the diagonal of ``info``'s inverse, decomposed in the
-    canonical group order so relabelled fits get bit-identical errors."""
+def _standard_errors(info: np.ndarray, spec: ModelSpec, order) -> np.ndarray:
+    """Standard errors in the ``Theta.flatten`` layout of ``spec``: square
+    roots of the diagonal of ``info``'s inverse, where ``info`` is laid out
+    with the groups taken in the canonical ``order`` of :func:`_canonical`,
+    so relabelled fits get bit-identical errors."""
     if not np.all(np.isfinite(info)):
         raise NumericError("non-finite entries in the observed information")
-    order = work.canonical
-    eigvals, eigvecs = np.linalg.eigh(info[np.ix_(order, order)])
-    scale = float(np.max(np.abs(eigvals))) if order.size else 0.0
+    # The flat position in spec's layout of each row of info.
+    starts = np.cumsum([0] + [2 + g.n_covariates for g in spec.groups])
+    flat = np.concatenate([np.arange(starts[l], starts[l + 1]) for l in order])
+    eigvals, eigvecs = np.linalg.eigh(info)
+    scale = float(np.max(np.abs(eigvals)))
     tol = 1e-10 * max(scale, 1.0)
     if np.any(eigvals <= tol):
-        names = parameter_names(work.spec)
+        names = parameter_names(spec)
         directions = []
         for idx in np.flatnonzero(eigvals <= tol):
             vec = eigvecs[:, idx]
             worst = np.argsort(-np.abs(vec))[:3]
             directions.append(
-                ", ".join(f"{names[order[w]]} ({vec[w]:+.2f})" for w in worst)
+                ", ".join(f"{names[flat[w]]} ({vec[w]:+.2f})" for w in worst)
             )
         raise SingularHessianError(
             "observed information is singular along: " + "; ".join(directions),
             null_directions=directions,
         )
     cov = (eigvecs / eigvals) @ eigvecs.T
-    return np.sqrt(np.diag(cov))[work.flat_order]
+    std = np.empty(flat.size)
+    std[flat] = np.sqrt(np.diag(cov))
+    return std

@@ -9,10 +9,10 @@ density, per-group winning probabilities, latent-time sampling, and expected
 survival time by quadrature in log t on both sides of a cutoff, bracketed by
 Mill's-ratio tail bounds.
 
-All evaluation is done in log space (with group reductions applied in an
-order that does not depend on the group labels, so results are invariant
-under group relabelling) and every function here is a pure function of
-immutable inputs.
+All evaluation is done in log space, with the groups in one canonical
+order (:func:`_canonical`), so results are invariant under group
+relabelling, and every function here is a pure function of immutable
+inputs.
 """
 
 from __future__ import annotations
@@ -263,9 +263,10 @@ class Dataset:
 #
 # Every quantity below is a reduction of one batched kernel, ``_hazards``,
 # applied to a matrix of linear predictors (one row per subject, one column
-# per group).  The scalar public functions are 1-row views of it.  Group
-# reductions are applied in sorted order, so results are invariant under
-# group relabelling.
+# per group).  The scalar public functions are 1-row views of it.  The
+# columns are in the canonical group order of ``_canonical``, so each group
+# reduction is a plain sum along that axis and results are invariant under
+# group relabelling; per-group results return to the caller's labels.
 # ---------------------------------------------------------------------------
 
 
@@ -285,6 +286,35 @@ def group_log_scale(params: GroupParams, x_row, group: GroupSpec) -> float:
 
 def _sigmas(theta: Theta) -> np.ndarray:
     return np.array([g.sigma for g in theta.groups])
+
+
+def _canonical(theta: Theta, spec: ModelSpec):
+    """``(theta, spec)`` with the groups in canonical order, that order, and
+    its inverse.
+
+    Groups are ordered by covariate-index tuple.  Ties occur only in
+    evaluation-only specs and break by (alpha, beta, sigma); groups with
+    equal keys have equal kernel columns, so a reduction over the groups in
+    this order does not depend on their labels.  ``order[k]`` is the label
+    of the k-th canonical group, and ``x[..., back]`` returns a per-group
+    result in canonical order to the caller's labels.
+    """
+    theta.validate_against(spec)
+    order = sorted(
+        range(spec.n_groups),
+        key=lambda l: (
+            spec.groups[l].covariate_indices,
+            theta.groups[l].alpha,
+            theta.groups[l].beta.tolist(),
+            theta.groups[l].sigma,
+        ),
+    )
+    return (
+        Theta([theta.groups[l] for l in order]),
+        ModelSpec([spec.groups[l] for l in order], spec.p),
+        order,
+        sorted(range(spec.n_groups), key=order.__getitem__),
+    )
 
 
 def _check_time(t: float, allow_zero: bool = False) -> float:
@@ -309,10 +339,13 @@ def _group_mu(x: np.ndarray, alpha: float, beta: np.ndarray) -> np.ndarray:
 
 
 def _mu_matrix(theta: Theta, designs: Sequence[np.ndarray]) -> np.ndarray:
-    """(n, L) matrix of linear predictors from per-group designs."""
-    return np.column_stack(
-        [_group_mu(x, g.alpha, g.beta) for x, g in zip(designs, theta.groups)]
-    )
+    """(n, L) matrix of linear predictors from per-group designs.
+
+    It is stored column by column, and the kernel's arrays inherit that
+    layout, so a reduction over the short group axis runs down whole
+    columns: about ten times faster than along rows of length L.
+    """
+    return np.array([_group_mu(x, g.alpha, g.beta) for x, g in zip(designs, theta.groups)]).T
 
 
 def _mu_rows(theta: Theta, spec: ModelSpec, covariates) -> np.ndarray:
@@ -344,40 +377,34 @@ def _hazards(mu: np.ndarray, sigma: np.ndarray, log_t):
     with np.errstate(over="ignore"):
         z = (log_t - mu) / sigma
         cumhaz = np.exp(z)
-    # np.log and math.log can differ in the last bit; each caller keeps the
-    # one its arithmetic has always used, so fits stay bit-identical.
-    log_sigma = np.log(sigma) if isinstance(sigma, np.ndarray) else math.log(sigma)
-    log_haz = z - log_t - log_sigma
+    log_haz = z - log_t - np.log(sigma)
     return log_haz, cumhaz
-
-
-def _sorted_rowsum(values: np.ndarray) -> np.ndarray:
-    # Summing in sorted order makes group reductions independent of the
-    # group labelling, which keeps fits bit-identical under relabelling.
-    return np.sum(np.sort(values, axis=-1, kind="stable"), axis=-1)
 
 
 def _log_total_hazard(log_haz: np.ndarray) -> np.ndarray:
     """log h(t) = log sum_l h_l(t), reduced over the group axis."""
     m = np.max(log_haz, axis=-1)
-    return m + np.log(_sorted_rowsum(np.exp(log_haz - m[..., None])))
+    return m + np.log(np.sum(np.exp(log_haz - m[..., None]), axis=-1))
 
 
 def _winning(log_haz: np.ndarray) -> np.ndarray:
     """Hazard shares h_l(t) / h(t) along the group axis."""
     shifted = np.exp(log_haz - np.max(log_haz, axis=-1)[..., None])
-    return shifted / _sorted_rowsum(shifted)[..., None]
+    return shifted / np.sum(shifted, axis=-1)[..., None]
 
 
 def _hazards_at(theta: Theta, spec: ModelSpec, covariates, t: float):
-    """The kernel at one time for every covariate row: (n, L) arrays."""
-    return _hazards(_mu_rows(theta, spec, covariates), _sigmas(theta), np.log(t))
+    """The kernel at one time for every covariate row: (n, L) arrays with
+    the groups in canonical order, and the inverse of that order."""
+    theta, spec, _, back = _canonical(theta, spec)
+    log_haz, cumhaz = _hazards(_mu_rows(theta, spec, covariates), _sigmas(theta), np.log(t))
+    return log_haz, cumhaz, back
 
 
 def _survival_and_winning(theta: Theta, spec: ModelSpec, covariates, t: float):
     """S(t | x) and the winning-probability rows for every covariate row."""
-    log_haz, cumhaz = _hazards_at(theta, spec, covariates, _check_time(t))
-    return np.exp(-_sorted_rowsum(cumhaz)), _winning(log_haz)
+    log_haz, cumhaz, back = _hazards_at(theta, spec, covariates, _check_time(t))
+    return np.exp(-np.sum(cumhaz, axis=-1)), _winning(log_haz)[:, back]
 
 
 def log_survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
@@ -385,8 +412,8 @@ def log_survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     t = _check_time(t, allow_zero=True)
     if t == 0.0:
         return 0.0
-    _, cumhaz = _hazards_at(theta, spec, [x_row], t)
-    return float(-_sorted_rowsum(cumhaz)[0])
+    _, cumhaz, _ = _hazards_at(theta, spec, [x_row], t)
+    return float(-np.sum(cumhaz, axis=-1)[0])
 
 
 def survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
@@ -399,21 +426,21 @@ def survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
 
 def hazard_by_group(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.ndarray:
     """Per-group hazards (h_1(t), ..., h_L(t)); the total hazard is their sum."""
-    log_haz, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
+    log_haz, _, back = _hazards_at(theta, spec, [x_row], _check_time(t))
     with np.errstate(over="ignore"):
-        return np.exp(log_haz[0])
+        return np.exp(log_haz[0, back])
 
 
 def hazard(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Total hazard h(t | x) = sum_l h_l(t | x)."""
-    log_haz, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
+    log_haz, _, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
     return float(np.exp(_log_total_hazard(log_haz)[0]))
 
 
 def density(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Density f(t | x) = S(t | x) h(t | x)."""
-    log_haz, cumhaz = _hazards_at(theta, spec, [x_row], _check_time(t))
-    return float(np.exp(_log_total_hazard(log_haz)[0] - _sorted_rowsum(cumhaz)[0]))
+    log_haz, cumhaz, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
+    return float(np.exp(_log_total_hazard(log_haz)[0] - np.sum(cumhaz, axis=-1)[0]))
 
 
 def winning_probability(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.ndarray:
@@ -423,8 +450,8 @@ def winning_probability(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.nd
     joint density of (event time, cause l) to the marginal density.
     Components are positive and sum to one.
     """
-    log_haz, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
-    return _winning(log_haz)[0]
+    log_haz, _, back = _hazards_at(theta, spec, [x_row], _check_time(t))
+    return _winning(log_haz)[0, back]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +499,7 @@ _SPAN = 40.0
 # Rows per block of node evaluations, which bounds their transient memory.
 _ROW_CHUNK = 32
 # Growth factors exp(offset / sigma) are tabulated while they stay below
-# exp(_MAX_GROWTH); a narrower sigma class is evaluated in log space instead.
+# exp(_MAX_GROWTH); a narrower group is evaluated in log space instead.
 _MAX_GROWTH = 700.0
 
 
@@ -517,35 +544,6 @@ class ExpectedSurvivalTime:
     tail_part: float
 
 
-def _sigma_classes(sigma: np.ndarray):
-    """Group indices by equal sigma, in ascending order of sigma, and those sigmas.
-
-    Expected-time reductions sum each class in sorted order and then the
-    classes left to right, an order that does not depend on the group labels.
-    The groups of one class share every growth factor t^(1/sigma).
-    """
-    class_sigma = np.unique(sigma)
-    return [np.flatnonzero(sigma == s) for s in class_sigma], class_sigma
-
-
-def _class_sums(values: np.ndarray, classes) -> np.ndarray:
-    """(n, D) sums over each class's columns of an (n, L) array."""
-    return np.column_stack(
-        [
-            values[:, cols[0]] if cols.size == 1 else np.sum(np.sort(values[:, cols], axis=1), axis=1)
-            for cols in classes
-        ]
-    )
-
-
-def _left_sum(parts: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the class axis of an (n, D) array."""
-    total = parts[:, 0]
-    for d in range(1, parts.shape[1]):
-        total = total + parts[:, d]
-    return total
-
-
 def _auto_cutoff(mu: np.ndarray, sigma: np.ndarray, tail_survival: float) -> np.ndarray:
     """Per-row smallest time with S <= tail_survival, by Newton's method in log t.
 
@@ -556,7 +554,6 @@ def _auto_cutoff(mu: np.ndarray, sigma: np.ndarray, tail_survival: float) -> np.
     Guarantees ``S(cutoff) <= tail_survival`` and, to rounding,
     ``S(0.99 * cutoff) > tail_survival``.
     """
-    classes, class_sigma = _sigma_classes(sigma)
     log_target = math.log(-math.log(tail_survival))
     # The total cumulative hazard reaches the target no later than the first
     # group reaches it alone.
@@ -571,9 +568,9 @@ def _auto_cutoff(mu: np.ndarray, sigma: np.ndarray, tail_survival: float) -> np.
         # every z <= log_target here, as u never exceeds its start
         z = (u[rows, None] - mu[rows]) / sigma
         top = np.max(z, axis=1)
-        parts = _class_sums(np.exp(z - top[:, None]), classes)
-        total = _left_sum(parts)
-        new = u[rows] - (top + np.log(total) - log_target) * total / _left_sum(parts / class_sigma)
+        shifted = np.exp(z - top[:, None])
+        total = np.sum(shifted, axis=1)
+        new = u[rows] - (top + np.log(total) - log_target) * total / np.sum(shifted / sigma, axis=1)
         down = new < u[rows]
         rows = rows[down]
         if not rows.size:
@@ -585,25 +582,19 @@ def _auto_cutoff(mu: np.ndarray, sigma: np.ndarray, tail_survival: float) -> np.
     rows = np.arange(mu.shape[0])
     while rows.size:
         _, cumhaz = _hazards(mu[rows], sigma, np.log(cutoff[rows])[:, None])
-        rows = rows[np.exp(-_sorted_rowsum(cumhaz)) > tail_survival]
+        rows = rows[np.exp(-np.sum(cumhaz, axis=-1)) > tail_survival]
         cutoff[rows] = np.nextafter(cutoff[rows], np.inf)
     return cutoff
 
 
-def _cutoff_hazards(mu: np.ndarray, sigma: np.ndarray, classes, cutoff: np.ndarray) -> np.ndarray:
-    """(n, D) per-class cumulative hazards at each row's cutoff."""
-    _, cumhaz = _hazards(mu, sigma, np.log(cutoff)[:, None])
-    return _class_sums(cumhaz, classes)
-
-
-def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, class_sigma: np.ndarray):
+def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, sigma: np.ndarray):
     """Per-row (lower, point, upper) Mill's-ratio sandwich beyond ``cutoff``.
 
-    ``amounts`` holds the per-class cumulative hazards at the cutoff, so
-    ``cutoff * h(cutoff) = sum_d amounts_d / sigma_d``; ``point`` is
+    ``amounts`` holds the per-group cumulative hazards at the cutoff, so
+    ``cutoff * h(cutoff) = sum_l amounts_l / sigma_l``; ``point`` is
     ``S(cutoff) / h(cutoff)``.
     """
-    s = np.exp(-_left_sum(amounts))
+    s = np.exp(-np.sum(amounts, axis=1))
     bad = np.flatnonzero(~(s < 0.5))
     if bad.size:
         i = bad[0]
@@ -611,7 +602,7 @@ def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, class_sigma: np.ndarra
             f"cutoff {cutoff[i]} violates S(cutoff) < 0.5 (got S = {s[i]}); "
             "increase the cutoff"
         )
-    mass = _left_sum(amounts / class_sigma)
+    mass = np.sum(amounts / sigma, axis=1)
     bad = np.flatnonzero(~(mass > 1.0))
     if bad.size:
         i = bad[0]
@@ -620,16 +611,16 @@ def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, class_sigma: np.ndarra
             "the tail bounds are not well-defined"
         )
     point = cutoff * s / mass
-    lower = point * (1.0 - (1.0 / class_sigma[0]) / mass)
+    lower = point * (1.0 - (1.0 / np.min(sigma)) / mass)
     upper = point * (1.0 + 1.0 / (mass - 1.0))
     return lower, point, upper
 
 
-def _window_integrals(mu, cutoff, classes, class_sigma, amounts):
+def _window_integrals(mu, cutoff, sigma, amounts):
     """Per-row integrals of S over the finite and the tail window of the cutoff.
 
-    At the node u = log cutoff + o, class d's cumulative hazard is
-    ``amounts_d * exp(o / sigma_d)``, so one (2K, D) growth table and the
+    At the node u = log cutoff + o, group l's cumulative hazard is
+    ``amounts_l * exp(o / sigma_l)``, so one (L, 2K) growth table and the
     cutoff's amounts give log S at every node, and the integrand in u is
     ``cutoff * exp(o - H)``.
 
@@ -641,30 +632,22 @@ def _window_integrals(mu, cutoff, classes, class_sigma, amounts):
     and still falling, because ``sum_l H_l / sigma_l > 1`` only grows with t.
     """
     k = _NODE_OFFSETS.size
-    tabulated = _SPAN / class_sigma <= _MAX_GROWTH
     log_cutoff = np.log(cutoff)
     finite, tail = np.empty(mu.shape[0]), np.empty(mu.shape[0])
     # A cumulative hazard that overflows to inf gives S = 0, which is exact.
     with np.errstate(over="ignore"):
-        growth = np.exp(_WINDOW_OFFSETS / class_sigma[:, None])
+        growth = np.exp(_WINDOW_OFFSETS / sigma[:, None])
         for start in range(0, mu.shape[0], _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
-            cumhaz = None
-            for d, cols in enumerate(classes):
-                if tabulated[d]:
-                    term = amounts[rows, d, None] * growth[d]
+            cumhaz = np.zeros((amounts[rows].shape[0], _WINDOW_OFFSETS.size))
+            for l, sigma_l in enumerate(sigma):
+                if _SPAN / sigma_l <= _MAX_GROWTH:
+                    cumhaz += amounts[rows, l, None] * growth[l]
                 else:
                     # exp(40 / sigma) overflows, and an amount that underflowed
                     # at the cutoff may grow to matter in the tail window.
-                    z = (log_cutoff[rows, None] - mu[rows][:, cols]) / class_sigma[d]
-                    top = np.max(z, axis=1)
-                    shifted = np.sort(np.exp(z - top[:, None]), axis=1)
-                    log_amount = top + np.log(np.sum(shifted, axis=1))
-                    term = np.exp(log_amount[:, None] + _WINDOW_OFFSETS / class_sigma[d])
-                if cumhaz is None:
-                    cumhaz = term
-                else:
-                    cumhaz += term
+                    z = (log_cutoff[rows] - mu[rows, l]) / sigma_l
+                    cumhaz += np.exp(z[:, None] + _WINDOW_OFFSETS / sigma_l)
             integrand = np.exp(np.subtract(_WINDOW_OFFSETS, cumhaz, out=cumhaz), out=cumhaz)
             finite[rows] = np.einsum("ij,j->i", integrand[:, :k], _NODE_WEIGHTS)
             tail[rows] = np.einsum("ij,j->i", integrand[:, k:], _NODE_WEIGHTS)
@@ -678,16 +661,16 @@ def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
     finite_part, tail_part)`` in the field order of
     :class:`ExpectedSurvivalTime`.
     """
+    theta, spec, _, _ = _canonical(theta, spec)
     mu = _mu_rows(theta, spec, covariates)
     sigma = _sigmas(theta)
-    classes, class_sigma = _sigma_classes(sigma)
     if cutoff is None:
         cutoff = _auto_cutoff(mu, sigma, _CUTOFF_SURVIVAL)
     else:
         cutoff = np.full(mu.shape[0], _check_time(cutoff))
-    amounts = _cutoff_hazards(mu, sigma, classes, cutoff)
-    lower, _, upper = _tail_bounds(cutoff, amounts, class_sigma)
-    finite, tail = _window_integrals(mu, cutoff, classes, class_sigma, amounts)
+    _, amounts = _hazards(mu, sigma, np.log(cutoff)[:, None])
+    lower, _, upper = _tail_bounds(cutoff, amounts, sigma)
+    finite, tail = _window_integrals(mu, cutoff, sigma, amounts)
     return finite + tail, lower, upper, cutoff, finite, tail
 
 
@@ -697,6 +680,7 @@ def auto_cutoff(
     """Smallest time at which the joint survival drops to ``tail_survival``."""
     if not (0.0 < tail_survival < 1.0):
         raise ConfigError("tail_survival must lie in (0, 1)")
+    theta, spec, _, _ = _canonical(theta, spec)
     mu = _mu_rows(theta, spec, [x_row])
     return float(_auto_cutoff(mu, _sigmas(theta), tail_survival)[0])
 
@@ -710,11 +694,11 @@ def tail_integral_bounds(theta: Theta, spec: ModelSpec, x_row, cutoff: float):
     ``S(cutoff) < 0.5`` and ``cutoff * h(cutoff) > 1``.
     """
     cutoff = np.array([_check_time(cutoff)])
+    theta, spec, _, _ = _canonical(theta, spec)
     mu = _mu_rows(theta, spec, [x_row])
     sigma = _sigmas(theta)
-    classes, class_sigma = _sigma_classes(sigma)
-    amounts = _cutoff_hazards(mu, sigma, classes, cutoff)
-    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, class_sigma))
+    _, amounts = _hazards(mu, sigma, np.log(cutoff)[:, None])
+    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, sigma))
 
 
 def expected_survival_time(

@@ -417,9 +417,12 @@ class TestExponentialPredictions:
         for r, x in zip(rows[1:], ([0.3], [-0.8], [1.2])):
             cutoff = cw.auto_cutoff(theta, spec, x, 1e-9)
             ts = np.linspace(0, cutoff, 200_001)
-            oracle = float(
-                np.trapezoid([cw.survival(theta, spec, x, t) for t in ts], ts)
+            # S(t) = exp(-sum_l (t e^(-mu_l))^(1/sigma_l)), in closed form.
+            log_s = -sum(
+                (ts * math.exp(-cw.group_log_scale(g, x, group))) ** (1.0 / g.sigma)
+                for g, group in zip(theta.groups, spec.groups)
             )
+            oracle = float(np.trapezoid(np.exp(log_s), ts))
             assert float(r[0]) == pytest.approx(oracle, rel=1e-4)
 
 

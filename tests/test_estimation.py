@@ -13,15 +13,12 @@ import competing_weibull as cw
 from competing_weibull import estimation
 from competing_weibull.estimation import (
     _Workspace,
-    _loglik,
-    _loglik_and_winning,
     _loglik_raw,
     _observed_information,
     _penalized_loglik,
     _score,
     penalized_q_group,
 )
-from competing_weibull.model import _winning
 from conftest import random_instance
 
 
@@ -108,16 +105,14 @@ class TestLogLikelihood:
         assert cw.log_likelihood(theta, spec, data) == pytest.approx(
             brute_force_loglik(theta, spec, data), abs=1e-10
         )
-
-    def test_one_pass_matches_separate_reductions(self):
-        rng = np.random.default_rng(8)
-        for L in (1, 2, 3):
-            spec, truth, data = random_instance(rng, n=200, L=L, target_censoring=0.3)
-            work = _Workspace(spec, data)
-            log_haz, cumhaz = work.hazards(truth)
-            loglik, eta = _loglik_and_winning(work, log_haz, cumhaz)
-            assert loglik == _loglik(work, log_haz, cumhaz)
-            assert np.array_equal(eta, _winning(log_haz))
+        # How far a change of summation order may move the objective: the
+        # example-2 truth on its 1,500 simulated rows.
+        scen = cw.builtin_scenario(2, 0.2, seed=1)
+        data = cw.generate(scen).data
+        assert data.n == 1500
+        assert cw.log_likelihood(scen.truth, scen.model, data) == pytest.approx(
+            brute_force_loglik(scen.truth, scen.model, data), rel=1e-12
+        )
 
     def test_overflow_names_subject(self, exp_unit):
         spec, _ = exp_unit
@@ -632,9 +627,8 @@ def one_group_far_start(alpha):
     return spec, data, cw.Theta([cw.GroupParams(alpha, [0.8], 1.0)])
 
 
-class TestSquarem:
-    """The EM driver: plain EM maps with a Newton finish (named for the
-    extrapolation it once had)."""
+class TestPlainEmReference:
+    """The fit against plain EM through the public E- and M-steps."""
 
     def test_matches_plain_em(self):
         # Plain EM stops once its move is below epsilon = 1e-6, which at a
@@ -669,6 +663,11 @@ class TestSquarem:
         assert zeros[3] > 0  # example 3 at lambda2 = 60 has exact zeros
         # On example 1 the Newton finish needs fewer iterations than plain EM.
         assert maps[0][0] < maps[0][1]
+
+
+class TestSquarem:
+    """The EM driver: plain EM maps with a Newton finish (named for the
+    extrapolation it once had)."""
 
     # At the default floor no sigma reaches it, and Newton steps finish the
     # larger budgets; at 1.05, which the fitted sigmas of this dataset press

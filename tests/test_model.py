@@ -528,3 +528,36 @@ class TestExpectedTimesRelabelling:
             theta = cw.Theta([scen.truth.groups[l] for l in perm])
             for got, want in zip(_expected_times(theta, spec, x), reference):
                 assert np.array_equal(got, want)
+
+
+class TestTiedGroupsRelabelling:
+    def test_groups_with_one_covariate_tuple_permute_bit_for_bit(self):
+        # An evaluation-only spec whose groups share the empty covariate
+        # tuple: (alpha, beta, sigma) breaks the tie, and the two equal groups
+        # give equal kernel columns whichever label each one has.
+        import itertools
+
+        spec = cw.ModelSpec([cw.GroupSpec([])] * 3, p=0)
+        groups = [
+            cw.GroupParams(1.1, [], 1.9),
+            cw.GroupParams(1.1, [], 1.9),
+            cw.GroupParams(-0.8, [], 1.1),
+        ]
+        times = (0.05, 0.4, 1.3, 6.0)
+
+        def outputs(theta, perm):
+            values = []
+            for t in times:
+                values += [
+                    cw.survival(theta, spec, [], t),
+                    cw.hazard(theta, spec, [], t),
+                    cw.density(theta, spec, [], t),
+                    cw.winning_probability(theta, spec, [], t)[np.argsort(perm)],
+                ]
+            return values + list(_expected_times(theta, spec, np.zeros((1, 0))))
+
+        reference = outputs(cw.Theta(groups), [0, 1, 2])
+        for perm in itertools.permutations(range(3)):
+            got = outputs(cw.Theta([groups[l] for l in perm]), list(perm))
+            for a, b in zip(got, reference):
+                assert np.array_equal(a, b)
