@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +37,12 @@ from .model import (
     Theta,
     EULER_GAMMA,
     parameter_names,
-    _canonical,
+    _Model,
     _group_designs,
     _group_mu,
     _hazards,
     _log_total_hazard,
     _mu_matrix,
-    _sigmas,
     _winning,
 )
 
@@ -177,18 +175,24 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_columns(spec: ModelSpec, data: Dataset) -> None:
+    if data.p != spec.p:
+        raise SpecError(f"data has p={data.p} covariates, spec expects {spec.p}")
+
+
 class _Workspace:
     """Per-fit cache: log times, event mask, per-group design matrices, and
     the positions of the parameters in the ``Theta.flatten`` layout.
 
     The groups are those of ``spec`` in its own order.  Fits and the public
     functions that reduce over groups build it on the spec in canonical
-    order (:func:`~competing_weibull.model._canonical`), so every sum,
-    matrix and factorization is laid out in that order and relabelled fits
-    stay bit-identical.
+    order (:class:`~competing_weibull.model._Model`), so every sum, matrix
+    and factorization is laid out in that order and relabelled fits stay
+    bit-identical.
     """
 
     def __init__(self, spec: ModelSpec, data: Dataset):
+        _check_columns(spec, data)
         self.spec = spec
         self.log_t = np.log(data.times)
         self.delta = data.status.astype(float)
@@ -201,7 +205,8 @@ class _Workspace:
 
     def hazards(self, theta: Theta):
         """(n, L) per-group log hazards and cumulative hazards at the data times."""
-        return _hazards(_mu_matrix(theta, self.x_groups), _sigmas(theta), self.log_t[:, None])
+        sigma = np.array([g.sigma for g in theta.groups])
+        return _hazards(_mu_matrix(theta, self.x_groups), sigma, self.log_t[:, None])
 
 
 def _loglik_terms(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
@@ -271,9 +276,9 @@ def _penalized_loglik(loglik: float, theta: Theta, penalty: PenaltyConfig) -> fl
 
 def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
     """Observed log-likelihood: sum of delta*log h(T) + log S(T) over subjects."""
-    theta, spec, _, _ = _canonical(theta, spec)
-    work = _Workspace(spec, data)
-    terms = _loglik_terms(work, *work.hazards(theta))
+    model = _Model(theta, spec)
+    work = _Workspace(model.spec, data)
+    terms = _loglik_terms(work, *work.hazards(model.theta))
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise NumericError(
@@ -290,9 +295,9 @@ def e_step(theta: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     censoring time; they do not enter the fitting objective but are reported
     for inspection.
     """
-    theta, spec, _, back = _canonical(theta, spec)
-    log_haz, _ = _Workspace(spec, data).hazards(theta)
-    return _winning(log_haz)[:, back]
+    model = _Model(theta, spec)
+    log_haz, _ = _Workspace(model.spec, data).hazards(model.theta)
+    return _winning(log_haz)[:, model.back]
 
 
 def _q_group_values(
@@ -372,7 +377,7 @@ def _location_gradient(x: np.ndarray, alpha: float, sigma: float, terms, lambda1
     with np.errstate(over="ignore", invalid="ignore"):
         resid = (cumhaz - weight) / sigma
         g_alpha = float(np.sum(resid)) + _intercept_penalty(alpha, lambda1)
-        g_beta = x.T @ resid if x.shape[1] else np.zeros(0)
+        g_beta = x.T @ resid
     return g_alpha, g_beta
 
 
@@ -495,10 +500,9 @@ def _curvature(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float)
     with np.errstate(over="ignore", invalid="ignore"):
         h = cumhaz / sigma**2
         curv[0, 0] = float(np.sum(h)) + _intercept_penalty(alpha, lambda1)
-        if k:
-            xh = x * h[:, None]
-            curv[0, 1:] = curv[1:, 0] = np.sum(xh, axis=0)
-            curv[1:, 1:] = np.einsum("ij,ik->jk", xh, x)
+        xh = x * h[:, None]
+        curv[0, 1:] = curv[1:, 0] = np.sum(xh, axis=0)
+        curv[1:, 1:] = np.einsum("ij,ik->jk", xh, x)
     return curv
 
 
@@ -666,89 +670,76 @@ def _sigma_newton(
     return 1.0 / best_u
 
 
-class _GroupState:
-    """Mutable per-group parameters that the M-steps update in place."""
-
-    def __init__(self, g: GroupParams, sigma_floor: float):
-        self.alpha = g.alpha
-        self.beta = np.array(g.beta, dtype=float)
-        self.sigma = max(g.sigma, sigma_floor)
-        self.stalled = False
-
-
-def _theta_of(states: Sequence[_GroupState]) -> Theta:
-    return Theta([GroupParams(s.alpha, s.beta, s.sigma) for s in states])
-
-
 def _update_group(
     work: _Workspace,
     l: int,
-    state: _GroupState,
+    params: GroupParams,
     eta_l: np.ndarray,
     penalty: PenaltyConfig,
     sigma_floor: float,
-) -> None:
-    """One M-step for a single group, in place: proximal Newton on (alpha,
-    beta) at the current sigma (:func:`_newton_step`), each step halved until
-    the penalized group objective does not decrease, then the maximizer over
-    sigma in ``[sigma_floor, _SIGMA_MAX]`` at the new (alpha, beta)
+) -> tuple[GroupParams, bool]:
+    """One M-step for a single group, from ``params`` with its sigma raised to
+    ``sigma_floor``: proximal Newton on (alpha, beta) at that sigma
+    (:func:`_newton_step`), each step halved until the penalized group
+    objective does not decrease, then the maximizer over sigma in
+    ``[sigma_floor, _SIGMA_MAX]`` at the new (alpha, beta)
     (:func:`_sigma_newton`).  While ``lambda1 * exp(-alpha)`` overflows,
-    the step is +1 in alpha.  Never decreases the penalized group objective;
-    ``stalled`` is set when a gradient is not finite or no halving is
-    accepted; (alpha, beta) then stay at the last accepted step, and sigma is
-    still re-maximized.
+    the step is +1 in alpha.  Never decreases the penalized group objective.
+    Returns the new parameters and whether the group stalled: a gradient
+    was not finite or no halving was accepted; (alpha, beta) then stay at
+    the last accepted step, and sigma is still re-maximized.
     """
     x = work.x_groups[l]
+    alpha, beta, sigma = params.alpha, params.beta, max(params.sigma, sigma_floor)
 
     def objective(alpha: float, beta: np.ndarray):
-        q, terms = _q_group_values(work, l, alpha, beta, state.sigma, eta_l)
+        q, terms = _q_group_values(work, l, alpha, beta, sigma, eta_l)
         return _penalized(q, alpha, beta, penalty), terms
 
     # Each Newton step is taken where the objective was last evaluated, so it
     # reuses that evaluation's arrays.
-    current, terms = objective(state.alpha, state.beta)
-    state.stalled = False
+    current, terms = objective(alpha, beta)
+    stalled = False
     for _ in range(_NEWTON_ITERS):
-        if math.isinf(_intercept_penalty(state.alpha, penalty.lambda1)):
+        if math.isinf(_intercept_penalty(alpha, penalty.lambda1)):
             # exp(-alpha) overflows, so the penalty dominates the model: take
             # the limit of its own Newton step, which is +1 in alpha.
             step = np.zeros(x.shape[1] + 1)
             step[0] = 1.0
         else:
-            g_alpha, g_beta = _location_gradient(
-                x, state.alpha, state.sigma, terms, penalty.lambda1
-            )
+            g_alpha, g_beta = _location_gradient(x, alpha, sigma, terms, penalty.lambda1)
             grad = np.concatenate([[g_alpha], g_beta])
-            curv = _curvature(x, state.alpha, state.sigma, terms, penalty.lambda1)
+            curv = _curvature(x, alpha, sigma, terms, penalty.lambda1)
             if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
-                state.stalled = True
+                stalled = True
                 break
-            step = _newton_step(curv, grad, state.beta, penalty.lambda2)
+            step = _newton_step(curv, grad, beta, penalty.lambda2)
             size = float(np.max(np.abs(step)))
             if not math.isfinite(size):
-                state.stalled = True
+                stalled = True
                 break
-            if size <= _NEWTON_TOL * (1.0 + abs(state.alpha) + float(np.sum(np.abs(state.beta)))):
+            if size <= _NEWTON_TOL * (1.0 + abs(alpha) + float(np.sum(np.abs(beta)))):
                 break
         length = 1.0
         for _ in range(_MAX_BACKTRACKS):
             # At unit length the new coefficients are the model's minimizer,
             # exact zeros included.
-            alpha_new = state.alpha + length * step[0]
-            beta_new = state.beta + length * step[1:]
+            alpha_new = alpha + length * step[0]
+            beta_new = beta + length * step[1:]
             value, new_terms = objective(alpha_new, beta_new)
             if _no_worse(value, current):
                 break
             length *= 0.5
         else:
-            state.stalled = True
+            stalled = True
             break
-        state.alpha, state.beta = alpha_new, beta_new
+        alpha, beta = alpha_new, beta_new
         current, terms = value, new_terms
 
     # The penalties do not involve sigma: maximize Q_l alone with mu fixed.
     mu, _, weight = terms
-    state.sigma = _sigma_newton(work.log_t - mu, weight, state.sigma, sigma_floor)
+    sigma = _sigma_newton(work.log_t - mu, weight, sigma, sigma_floor)
+    return GroupParams(alpha, beta, sigma), stalled
 
 
 def _em_map(
@@ -756,10 +747,11 @@ def _em_map(
 ) -> tuple[Theta, list[int]]:
     """The M-step's theta from ``theta`` given eta, and the groups whose
     line search stalled."""
-    states = [_GroupState(g, sigma_floor) for g in theta.groups]
-    for l, state in enumerate(states):
-        _update_group(work, l, state, eta[:, l], penalty, sigma_floor)
-    return _theta_of(states), [l for l, state in enumerate(states) if state.stalled]
+    updates = [
+        _update_group(work, l, g, eta[:, l], penalty, sigma_floor)
+        for l, g in enumerate(theta.groups)
+    ]
+    return Theta([g for g, _ in updates]), [l for l, (_, stalled) in enumerate(updates) if stalled]
 
 
 def m_step(
@@ -795,6 +787,7 @@ def initialize_theta(spec: ModelSpec, data: Dataset) -> Theta:
     sigma starts at 1.  Deterministic and group-local, so relabelling groups
     relabels the initialization.
     """
+    _check_columns(spec, data)
     log_t = np.log(data.times)
     events = data.status == 1
     groups = []
@@ -802,9 +795,7 @@ def initialize_theta(spec: ModelSpec, data: Dataset) -> Theta:
         cols = list(group.covariate_indices)
         rows = events if int(events.sum()) >= len(cols) + 2 else np.ones(data.n, bool)
         y = log_t[rows]
-        design = np.column_stack([np.ones(y.shape[0])] + (
-            [data.covariates[rows][:, cols]] if cols else []
-        ))
+        design = np.column_stack([np.ones(y.shape[0]), data.covariates[rows][:, cols]])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
         dof = max(y.shape[0] - design.shape[1], 1)
@@ -966,7 +957,9 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
     """
     # One kernel evaluation per map or Newton step: it gives the trace entry
     # of its output and the next E-step.
-    start = _theta_of([_GroupState(g, config.sigma_floor) for g in theta.groups])
+    start = Theta([
+        GroupParams(g.alpha, g.beta, max(g.sigma, config.sigma_floor)) for g in theta.groups
+    ])
     point = _Point(work, start, penalty)
     loglik_trace, penalized_trace = [point.loglik], [point.penalized]
     warnings: list[str] = []
@@ -1045,11 +1038,7 @@ def fit_em(
     penalty = penalty or PenaltyConfig()
     config = config or FitConfig()
     spec.check_identifiable()
-    if data.p != spec.p:
-        raise SpecError(f"data has p={data.p} covariates, spec expects {spec.p}")
-
     if theta_init is not None:
-        theta_init.validate_against(spec)
         starts = [theta_init]
     else:
         base = initialize_theta(spec, data)
@@ -1059,12 +1048,14 @@ def fit_em(
             starts.append(_jittered(base, rng))
 
     # The fit runs with the groups in canonical order, so relabelled fits are
-    # bit-identical; its results return to the caller's labels here.
-    _, canonical_spec, order, back = _canonical(starts[0], spec)
-    work = _Workspace(canonical_spec, data)
+    # bit-identical; its results return to the caller's labels here.  The
+    # spec is identifiable, so every start has the same order.
+    models = [_Model(start, spec) for start in starts]
+    order, back = models[0].order, models[0].back
+    work = _Workspace(models[0].spec, data)
     best = None
-    for start in starts:
-        result, info = _run_em(work, penalty, config, _canonical(start, spec)[0], order)
+    for model in models:
+        result, info = _run_em(work, penalty, config, model.theta, order)
         if best is None or result.final_penalized > best[0].final_penalized:
             best = result, info
 
@@ -1099,15 +1090,15 @@ def standard_errors(theta_hat: Theta, spec: ModelSpec, data: Dataset) -> np.ndar
     it is not positive definite, which typically signals an eliminated or
     duplicated group, and :class:`NumericError` when an entry is not finite.
     """
-    theta, canonical_spec, order, _ = _canonical(theta_hat, spec)
-    info = _observed_information(_Workspace(canonical_spec, data), theta)[1]
-    return _standard_errors(info, spec, order)
+    model = _Model(theta_hat, spec)
+    info = _observed_information(_Workspace(model.spec, data), model.theta)[1]
+    return _standard_errors(info, spec, model.order)
 
 
 def _standard_errors(info: np.ndarray, spec: ModelSpec, order) -> np.ndarray:
     """Standard errors in the ``Theta.flatten`` layout of ``spec``: square
     roots of the diagonal of ``info``'s inverse, where ``info`` is laid out
-    with the groups taken in the canonical ``order`` of :func:`_canonical`,
+    with the groups taken in the canonical ``order`` of :class:`_Model`,
     so relabelled fits get bit-identical errors."""
     if not np.all(np.isfinite(info)):
         raise NumericError("non-finite entries in the observed information")

@@ -118,12 +118,19 @@ def _finite_spelling(text: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a file all-or-nothing: no partial output on failure."""
+    """Write a file all-or-nothing: no partial output on failure.
+
+    The file gets the mode a plain ``open`` would create it with,
+    ``0o666`` less the umask, not the temporary file's ``0o600``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

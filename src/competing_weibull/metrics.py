@@ -100,7 +100,8 @@ def kaplan_meier(times, status) -> StepSurvival:
     """Product-limit estimator.
 
     At a tied time all events are processed before censorings, i.e. subjects
-    censored at t still count as at risk for events at t.
+    censored at t still count as at risk for events at t.  Raises
+    :class:`SpecError` when a time is not finite or a status is not 0 or 1.
     """
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
@@ -108,6 +109,7 @@ def kaplan_meier(times, status) -> StepSurvival:
         raise SpecError("kaplan_meier needs at least one observation")
     if status.shape != times.shape:
         raise SpecError("times and status must have equal length")
+    _check_times_and_status(times, status)
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
     d_sorted = status[order].astype(int)
@@ -122,13 +124,20 @@ def kaplan_meier(times, status) -> StepSurvival:
     return StepSurvival(uniq[keep], np.cumprod(factors))
 
 
-def _survival_inputs(scores, times, status, what: str):
-    """Validated (scores, times, event) vectors for a concordance or ROC call.
+def _check_times_and_status(times: np.ndarray, status: np.ndarray) -> None:
+    """Every time must be finite and every status exactly 0 or 1: a NaN has
+    no place in an ordering, and any other status would be neither an event
+    nor a censoring."""
+    if not np.all(np.isfinite(times)):
+        raise SpecError("every time must be finite")
+    if not np.all((status == 0) | (status == 1)):
+        raise SpecError("every status must be 0 or 1")
 
-    The vectors must be nonempty, every score and time finite and every
-    status exactly 0 or 1: a NaN has no place in a ranking, and any other
-    status would be neither an event nor a censoring.
-    """
+
+def _survival_inputs(scores, times, status, what: str):
+    """Validated (scores, times, event) vectors for a concordance or ROC call:
+    nonempty, every score finite, and times and status as
+    :func:`_check_times_and_status` requires."""
     scores = np.asarray(scores, dtype=float)
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
@@ -136,10 +145,7 @@ def _survival_inputs(scores, times, status, what: str):
         raise SpecError(f"{what}, times, and status must be equal-length nonempty vectors")
     if not np.all(np.isfinite(scores)):
         raise SpecError(f"every {what} must be finite")
-    if not np.all(np.isfinite(times)):
-        raise SpecError("every time must be finite")
-    if not np.all((status == 0) | (status == 1)):
-        raise SpecError("every status must be 0 or 1")
+    _check_times_and_status(times, status)
     return scores, times, status == 1
 
 
@@ -293,17 +299,19 @@ def integrated_auc(
     horizon t.  Weights are the Kaplan-Meier event-distribution increments
     accumulated between consecutive grid points, normalized to sum to one.
     Degenerate horizons are skipped with a warning; if every horizon is
-    degenerate a :class:`MetricError` is raised.
+    degenerate a :class:`MetricError` is raised.  A time or grid point that
+    is not finite, or a status other than 0 or 1, raises :class:`SpecError`.
     """
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
+    _check_times_and_status(times, status)
     grid_arr = (
         default_time_grid(times, status) if grid is None else np.asarray(grid, dtype=float)
     )
     if grid_arr.size < 2:
         raise MetricError("the iAUC grid needs at least two points")
-    if np.any(np.diff(grid_arr) <= 0):
-        raise SpecError("the iAUC grid must be strictly increasing")
+    if not np.all(np.isfinite(grid_arr)) or np.any(np.diff(grid_arr) <= 0):
+        raise SpecError("the iAUC grid must be finite and strictly increasing")
 
     aucs: list[float | None] = []
     for t_k in grid_arr:

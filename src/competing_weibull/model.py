@@ -10,9 +10,8 @@ survival time by quadrature in log t on both sides of a cutoff, bracketed by
 Mill's-ratio tail bounds.
 
 All evaluation is done in log space, with the groups in one canonical
-order (:func:`_canonical`), so results are invariant under group
-relabelling, and every function here is a pure function of immutable
-inputs.
+order (:class:`_Model`), so results are invariant under group relabelling,
+and every function here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -264,7 +263,7 @@ class Dataset:
 # Every quantity below is a reduction of one batched kernel, ``_hazards``,
 # applied to a matrix of linear predictors (one row per subject, one column
 # per group).  The scalar public functions are 1-row views of it.  The
-# columns are in the canonical group order of ``_canonical``, so each group
+# columns are in the canonical group order of ``_Model``, so each group
 # reduction is a plain sum along that axis and results are invariant under
 # group relabelling; per-group results return to the caller's labels.
 # ---------------------------------------------------------------------------
@@ -284,39 +283,6 @@ def group_log_scale(params: GroupParams, x_row, group: GroupSpec) -> float:
     return float(_group_mu(x, params.alpha, params.beta)[0])
 
 
-def _sigmas(theta: Theta) -> np.ndarray:
-    return np.array([g.sigma for g in theta.groups])
-
-
-def _canonical(theta: Theta, spec: ModelSpec):
-    """``(theta, spec)`` with the groups in canonical order, that order, and
-    its inverse.
-
-    Groups are ordered by covariate-index tuple.  Ties occur only in
-    evaluation-only specs and break by (alpha, beta, sigma); groups with
-    equal keys have equal kernel columns, so a reduction over the groups in
-    this order does not depend on their labels.  ``order[k]`` is the label
-    of the k-th canonical group, and ``x[..., back]`` returns a per-group
-    result in canonical order to the caller's labels.
-    """
-    theta.validate_against(spec)
-    order = sorted(
-        range(spec.n_groups),
-        key=lambda l: (
-            spec.groups[l].covariate_indices,
-            theta.groups[l].alpha,
-            theta.groups[l].beta.tolist(),
-            theta.groups[l].sigma,
-        ),
-    )
-    return (
-        Theta([theta.groups[l] for l in order]),
-        ModelSpec([spec.groups[l] for l in order], spec.p),
-        order,
-        sorted(range(spec.n_groups), key=order.__getitem__),
-    )
-
-
 def _check_time(t: float, allow_zero: bool = False) -> float:
     t = float(t)
     if not math.isfinite(t):
@@ -333,8 +299,6 @@ def _group_designs(spec: ModelSpec, covariates: np.ndarray) -> list[np.ndarray]:
 
 def _group_mu(x: np.ndarray, alpha: float, beta: np.ndarray) -> np.ndarray:
     """One group's linear predictor for every row of its design ``x``."""
-    if not x.shape[1]:
-        return np.full(x.shape[0], alpha)
     return alpha + x @ beta
 
 
@@ -348,20 +312,45 @@ def _mu_matrix(theta: Theta, designs: Sequence[np.ndarray]) -> np.ndarray:
     return np.array([_group_mu(x, g.alpha, g.beta) for x, g in zip(designs, theta.groups)]).T
 
 
-def _mu_rows(theta: Theta, spec: ModelSpec, covariates) -> np.ndarray:
-    """Validated (n, L) linear predictors for the rows of a covariate matrix."""
-    theta.validate_against(spec)
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    width = max(
-        (g.covariate_indices[-1] + 1 for g in spec.groups if g.covariate_indices),
-        default=0,
-    )
-    if covariates.ndim != 2 or covariates.shape[1] < width:
-        raise SpecError(
-            f"covariate rows have {covariates.shape[-1]} entries but the groups "
-            f"use {width} columns"
+class _Model:
+    """A (theta, spec) pair, checked once, with the groups in canonical order.
+
+    Groups are ordered by covariate-index tuple.  Ties occur only in
+    evaluation-only specs and break by (alpha, beta, sigma); groups with
+    equal keys have equal kernel columns, so a reduction over the groups in
+    this order does not depend on their labels.  ``theta``, ``spec`` and
+    ``sigma`` are in that order; ``order[k]`` is the label of the k-th
+    canonical group, and ``x[..., back]`` returns a per-group result in
+    canonical order to the caller's labels.
+    """
+
+    def __init__(self, theta: Theta, spec: ModelSpec):
+        theta.validate_against(spec)
+        order = sorted(
+            range(spec.n_groups),
+            key=lambda l: (
+                spec.groups[l].covariate_indices,
+                theta.groups[l].alpha,
+                theta.groups[l].beta.tolist(),
+                theta.groups[l].sigma,
+            ),
         )
-    return _mu_matrix(theta, _group_designs(spec, covariates))
+        self.theta = Theta([theta.groups[l] for l in order])
+        self.spec = ModelSpec([spec.groups[l] for l in order], spec.p)
+        self.order = order
+        self.back = sorted(range(spec.n_groups), key=order.__getitem__)
+        self.sigma = np.array([g.sigma for g in self.theta.groups])
+
+    def mu(self, covariates) -> np.ndarray:
+        """(n, L) linear predictors of the rows of a covariate matrix with
+        exactly ``spec.p`` columns, laid out as :func:`_mu_matrix` lays them."""
+        covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
+        if covariates.ndim != 2 or covariates.shape[1] != self.spec.p:
+            raise SpecError(
+                f"covariate rows have {covariates.shape[-1]} entries but the spec "
+                f"has p={self.spec.p}"
+            )
+        return _mu_matrix(self.theta, _group_designs(self.spec, covariates))
 
 
 def _hazards(mu: np.ndarray, sigma: np.ndarray, log_t):
@@ -393,26 +382,22 @@ def _winning(log_haz: np.ndarray) -> np.ndarray:
     return shifted / np.sum(shifted, axis=-1)[..., None]
 
 
-def _hazards_at(theta: Theta, spec: ModelSpec, covariates, t: float):
-    """The kernel at one time for every covariate row: (n, L) arrays with
-    the groups in canonical order, and the inverse of that order."""
-    theta, spec, _, back = _canonical(theta, spec)
-    log_haz, cumhaz = _hazards(_mu_rows(theta, spec, covariates), _sigmas(theta), np.log(t))
-    return log_haz, cumhaz, back
-
-
 def _survival_and_winning(theta: Theta, spec: ModelSpec, covariates, t: float):
     """S(t | x) and the winning-probability rows for every covariate row."""
-    log_haz, cumhaz, back = _hazards_at(theta, spec, covariates, _check_time(t))
-    return np.exp(-np.sum(cumhaz, axis=-1)), _winning(log_haz)[:, back]
+    t = _check_time(t)
+    model = _Model(theta, spec)
+    log_haz, cumhaz = _hazards(model.mu(covariates), model.sigma, np.log(t))
+    return np.exp(-np.sum(cumhaz, axis=-1)), _winning(log_haz)[:, model.back]
 
 
 def log_survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """log S(t | x); the per-group log survivals add up."""
     t = _check_time(t, allow_zero=True)
+    model = _Model(theta, spec)
+    mu = model.mu([x_row])
     if t == 0.0:
         return 0.0
-    _, cumhaz, _ = _hazards_at(theta, spec, [x_row], t)
+    _, cumhaz = _hazards(mu, model.sigma, np.log(t))
     return float(-np.sum(cumhaz, axis=-1)[0])
 
 
@@ -426,20 +411,26 @@ def survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
 
 def hazard_by_group(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.ndarray:
     """Per-group hazards (h_1(t), ..., h_L(t)); the total hazard is their sum."""
-    log_haz, _, back = _hazards_at(theta, spec, [x_row], _check_time(t))
+    t = _check_time(t)
+    model = _Model(theta, spec)
+    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
     with np.errstate(over="ignore"):
-        return np.exp(log_haz[0, back])
+        return np.exp(log_haz[0, model.back])
 
 
 def hazard(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Total hazard h(t | x) = sum_l h_l(t | x)."""
-    log_haz, _, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
+    t = _check_time(t)
+    model = _Model(theta, spec)
+    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
     return float(np.exp(_log_total_hazard(log_haz)[0]))
 
 
 def density(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Density f(t | x) = S(t | x) h(t | x)."""
-    log_haz, cumhaz, _ = _hazards_at(theta, spec, [x_row], _check_time(t))
+    t = _check_time(t)
+    model = _Model(theta, spec)
+    log_haz, cumhaz = _hazards(model.mu([x_row]), model.sigma, np.log(t))
     return float(np.exp(_log_total_hazard(log_haz)[0] - np.sum(cumhaz, axis=-1)[0]))
 
 
@@ -450,8 +441,10 @@ def winning_probability(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.nd
     joint density of (event time, cause l) to the marginal density.
     Components are positive and sum to one.
     """
-    log_haz, _, back = _hazards_at(theta, spec, [x_row], _check_time(t))
-    return _winning(log_haz)[0, back]
+    t = _check_time(t)
+    model = _Model(theta, spec)
+    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
+    return _winning(log_haz)[0, model.back]
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +463,15 @@ def sample_events(
     time and the cause its argmin.  Fully deterministic given the generator
     state.
     """
-    mu = _mu_rows(theta, spec, covariates)
+    # The draws and causes are in the caller's group labels.
+    model = _Model(theta, spec)
+    mu = model.mu(covariates)[:, model.back]
     n = mu.shape[0]
     u = rng.random(mu.shape)
     # Guard the open-interval requirement: u == 0 would give eps = -inf.
     u = np.maximum(u, np.finfo(float).tiny)
     eps = np.log(-np.log1p(-u))
-    log_latent = mu + _sigmas(theta)[None, :] * eps
+    log_latent = mu + model.sigma[model.back] * eps
     causes = np.argmin(log_latent, axis=1)
     times = np.exp(log_latent[np.arange(n), causes])
     return times, causes.astype(np.int64)
@@ -661,9 +656,8 @@ def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
     finite_part, tail_part)`` in the field order of
     :class:`ExpectedSurvivalTime`.
     """
-    theta, spec, _, _ = _canonical(theta, spec)
-    mu = _mu_rows(theta, spec, covariates)
-    sigma = _sigmas(theta)
+    model = _Model(theta, spec)
+    mu, sigma = model.mu(covariates), model.sigma
     if cutoff is None:
         cutoff = _auto_cutoff(mu, sigma, _CUTOFF_SURVIVAL)
     else:
@@ -680,9 +674,8 @@ def auto_cutoff(
     """Smallest time at which the joint survival drops to ``tail_survival``."""
     if not (0.0 < tail_survival < 1.0):
         raise ConfigError("tail_survival must lie in (0, 1)")
-    theta, spec, _, _ = _canonical(theta, spec)
-    mu = _mu_rows(theta, spec, [x_row])
-    return float(_auto_cutoff(mu, _sigmas(theta), tail_survival)[0])
+    model = _Model(theta, spec)
+    return float(_auto_cutoff(model.mu([x_row]), model.sigma, tail_survival)[0])
 
 
 def tail_integral_bounds(theta: Theta, spec: ModelSpec, x_row, cutoff: float):
@@ -694,11 +687,9 @@ def tail_integral_bounds(theta: Theta, spec: ModelSpec, x_row, cutoff: float):
     ``S(cutoff) < 0.5`` and ``cutoff * h(cutoff) > 1``.
     """
     cutoff = np.array([_check_time(cutoff)])
-    theta, spec, _, _ = _canonical(theta, spec)
-    mu = _mu_rows(theta, spec, [x_row])
-    sigma = _sigmas(theta)
-    _, amounts = _hazards(mu, sigma, np.log(cutoff)[:, None])
-    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, sigma))
+    model = _Model(theta, spec)
+    _, amounts = _hazards(model.mu([x_row]), model.sigma, np.log(cutoff)[:, None])
+    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, model.sigma))
 
 
 def expected_survival_time(

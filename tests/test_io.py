@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from competing_weibull.errors import ConfigError, SpecError
-from competing_weibull.io import canonical_json, read_dataset_csv, write_csv, write_dataset_csv
+from competing_weibull.io import (
+    atomic_write_text,
+    canonical_json,
+    read_dataset_csv,
+    write_csv,
+    write_dataset_csv,
+)
 from competing_weibull.model import Dataset
 
 HEADER = "time,status,x1\n"
@@ -336,3 +344,24 @@ class TestDatasetCsvRoundTrip:
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3)])
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_outputs_get_the_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        paths = (tmp_path / "out.csv", tmp_path / "out.json")
+        previous = os.umask(umask)
+        try:
+            # A new file, then a write over an existing file of another mode.
+            for existing in (False, True):
+                if existing:
+                    for path in paths:
+                        os.chmod(path, 0o400)
+                write_csv(str(paths[0]), ["x"], [np.array([1.0, 2.5])])
+                atomic_write_text(str(paths[1]), canonical_json({"a": [1.0]}))
+                for path in paths:
+                    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        finally:
+            os.umask(previous)

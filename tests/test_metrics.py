@@ -125,6 +125,16 @@ class TestKaplanMeier:
         with pytest.raises(cw.SpecError):
             cw.kaplan_meier([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(cw.SpecError, match="time"):
+            cw.kaplan_meier([1.0, bad, 3.0], [1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_status_outside_zero_one_rejected(self, bad):
+        with pytest.raises(cw.SpecError, match="status"):
+            cw.kaplan_meier([1.0, 2.0, 3.0], [1, bad, 1])
+
 
 class TestConcordance:
     def test_perfect_ranking(self):
@@ -372,6 +382,15 @@ class TestIntegratedAuc:
             cw.integrated_auc(lambda t: -times, times, status, grid=[1.5])
         with pytest.raises(cw.SpecError):
             cw.integrated_auc(lambda t: -times, times, status, grid=[2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # A skipped non-finite horizon must not leave its Kaplan-Meier weight
+        # behind: the grid is rejected instead.
+        times = np.array([1.0, 2.0, 3.0, 4.0])
+        status = np.ones(4, dtype=int)
+        with pytest.raises(cw.SpecError, match="finite"):
+            cw.integrated_auc(lambda t: -times, times, status, grid=[1.5, 3.5, bad])
 
 
 class TestRiskMarker:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import competing_weibull as cw
 from competing_weibull.model import (
     _ROW_CHUNK,
+    _Model,
     _expected_times,
     _hazards,
-    _mu_rows,
     _survival_and_winning,
     tail_integral_bounds,
 )
@@ -484,14 +484,14 @@ class TestBatchedRowsMatchScalarViews:
         theta = random_theta(rng, spec)
         x = rng.standard_normal((n, p))
         s, eta = _survival_and_winning(theta, spec, x, t)
-        sigma = np.array([g.sigma for g in theta.groups])
-        log_haz, _ = _hazards(_mu_rows(theta, spec, x), sigma, np.log(t))
+        model = _Model(theta, spec)
+        log_haz, _ = _hazards(model.mu(x), model.sigma, np.log(t))
         expected = _expected_times(theta, spec, x)[0]
         # Row i and a 1-row matrix may differ in the last bits of the linear
         # predictor (matrix-vector products), hence the 1e-12.
         for i in range(n):
             assert s[i] == pytest.approx(cw.survival(theta, spec, x[i], t), rel=1e-12)
-            assert np.exp(log_haz[i]) == pytest.approx(
+            assert np.exp(log_haz[i, model.back]) == pytest.approx(
                 cw.hazard_by_group(theta, spec, x[i], t), rel=1e-12
             )
             assert eta[i] == pytest.approx(cw.winning_probability(theta, spec, x[i], t), rel=1e-12)
@@ -561,3 +561,56 @@ class TestTiedGroupsRelabelling:
             got = outputs(cw.Theta([groups[l] for l in perm]), list(perm))
             for a, b in zip(got, reference):
                 assert np.array_equal(a, b)
+
+
+class TestCovariateWidth:
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_every_entry_rejects_rows_of_another_width(self, extra):
+        # A row one column short or one column long is a SpecError everywhere,
+        # never a silent evaluation at the wrong covariates.
+        scen = cw.builtin_scenario(2, 0.0)
+        theta, spec = scen.truth, scen.model
+        x = np.full((3, spec.p + extra), 0.3)
+        row = x[0]
+        data = cw.Dataset([0.5, 1.0, 2.0], [1, 0, 1], x)
+        eta = np.full((3, spec.n_groups), 1.0 / spec.n_groups)
+        rng = np.random.default_rng(0)
+        no_penalty = cw.PenaltyConfig()
+        calls = {
+            "survival": lambda: cw.survival(theta, spec, row, 1.0),
+            "log_survival": lambda: cw.log_survival(theta, spec, row, 1.0),
+            "log_survival at 0": lambda: cw.log_survival(theta, spec, row, 0.0),
+            "hazard": lambda: cw.hazard(theta, spec, row, 1.0),
+            "hazard_by_group": lambda: cw.hazard_by_group(theta, spec, row, 1.0),
+            "density": lambda: cw.density(theta, spec, row, 1.0),
+            "winning_probability": lambda: cw.winning_probability(theta, spec, row, 1.0),
+            "expected_survival_time": lambda: cw.expected_survival_time(theta, spec, row),
+            "auto_cutoff": lambda: cw.auto_cutoff(theta, spec, row),
+            "tail_integral_bounds": lambda: cw.tail_integral_bounds(theta, spec, row, 50.0),
+            "sample_event": lambda: cw.sample_event(theta, spec, row, rng),
+            "sample_events": lambda: cw.sample_events(theta, spec, x, rng),
+            "risk_marker": lambda: cw.risk_marker(theta, spec, row),
+            "risk_markers": lambda: cw.risk_markers(
+                theta, spec, x, mode="one_minus_survival", horizon=1.0
+            ),
+            "log_likelihood": lambda: cw.log_likelihood(theta, spec, data),
+            "e_step": lambda: cw.e_step(theta, spec, data),
+            "standard_errors": lambda: cw.standard_errors(theta, spec, data),
+            "q_group": lambda: cw.q_group(0, theta, spec, data, eta),
+            "q_gradients": lambda: cw.q_gradients(0, theta, spec, data, eta, no_penalty),
+            "m_step": lambda: cw.m_step(theta, spec, data, eta, no_penalty, cw.FitConfig()),
+            "initialize_theta": lambda: cw.initialize_theta(spec, data),
+            "fit_em": lambda: cw.fit_em(spec, data),
+            "fit_em from theta": lambda: cw.fit_em(spec, data, theta_init=theta),
+        }
+        accepted = []
+        for name, call in calls.items():
+            try:
+                call()
+            except cw.SpecError:
+                continue
+            except Exception as exc:  # the wrong error type counts as accepted
+                accepted.append(f"{name}: {type(exc).__name__}")
+                continue
+            accepted.append(name)
+        assert accepted == []
