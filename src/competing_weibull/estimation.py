@@ -12,20 +12,25 @@ and then over sigma at fixed (alpha, beta) by safeguarded Newton on
 
 per group, i.e. the penalized expected complete log-likelihood.
 
-The outer loop is plain EM: each map takes theta to the M-step's theta at
-the winning probabilities of the last one.  Once a map moves theta by less
-than ``_NEWTON_START``, Newton steps on the penalized observed
-log-likelihood take over on the active set (every alpha, every sigma inside
-its bounds, every nonzero beta); a step that fails a safeguard hands the fit
-back to EM.  The Hessian is the closed-form observed information (Louis
-1982), which also gives the standard errors.  Each EM map and each Newton
-step evaluates the model once.
+The fit evaluates the model at the data in one place, ``_Point``: one
+kernel call gives the cumulative hazards, the per-subject log-likelihood
+terms and their sum, the winning probabilities and the penalized objective,
+and the score and closed-form observed information (Louis 1982) follow on
+first use.  ``_run_em`` is the one loop that moves from point to point, and
+each of its iterations is either an EM map or a Newton step.  A map takes
+theta to the M-step's theta at the winning probabilities of the current
+point.  Once a map moves theta by less than ``_NEWTON_START``, Newton steps
+on the penalized observed log-likelihood take over on the active set (every
+alpha, every sigma inside its bounds, every nonzero beta); a step that fails
+a safeguard hands the fit back to EM.  The same information gives the
+standard errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -203,39 +208,27 @@ class _Workspace:
         self.is_beta = np.ones(ends[-1], dtype=bool)
         self.is_beta[self.alpha_at] = self.is_beta[self.sigma_at] = False
 
-    def hazards(self, theta: Theta):
-        """(n, L) per-group log hazards and cumulative hazards at the data times."""
-        sigma = np.array([g.sigma for g in theta.groups])
-        return _hazards(_mu_matrix(theta, self.x_groups), sigma, self.log_t[:, None])
-
-
-def _loglik_terms(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
-    """Per-subject observed log-likelihood contributions from the kernel arrays."""
-    return work.delta * _log_total_hazard(log_haz) - np.sum(cumhaz, axis=-1)
-
-
-def _loglik(work: _Workspace, log_haz: np.ndarray, cumhaz: np.ndarray) -> float:
-    """Sum of :func:`_loglik_terms`, quiet when it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(_loglik_terms(work, log_haz, cumhaz)))
-
 
 class _Point:
-    """A parameter vector with its cumulative hazards, log-likelihood,
-    winning probabilities and penalized objective: one kernel call."""
+    """A parameter vector evaluated at the data by one kernel call: the
+    cumulative hazards, the per-subject log-likelihood terms and their sum,
+    the winning probabilities and the penalized objective, all quiet when
+    not finite.  The score and observed information come on first use."""
 
-    def __init__(self, work: _Workspace, theta: Theta, penalty: PenaltyConfig):
-        self.theta = theta
-        log_haz, self.cumhaz = work.hazards(theta)
-        self.loglik = _loglik(work, log_haz, self.cumhaz)
+    def __init__(self, work: _Workspace, theta: Theta, penalty: PenaltyConfig = PenaltyConfig()):
+        self.work, self.theta = work, theta
+        sigma = np.array([g.sigma for g in theta.groups])
+        log_haz, self.cumhaz = _hazards(_mu_matrix(theta, work.x_groups), sigma, work.log_t[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
+            self.terms = work.delta * _log_total_hazard(log_haz) - np.sum(self.cumhaz, axis=-1)
+            self.loglik = float(np.sum(self.terms))
             self.eta = _winning(log_haz)
         self.penalized = _penalized_loglik(self.loglik, theta, penalty)
 
-
-def _loglik_raw(work: _Workspace, theta: Theta) -> float:
-    """Observed log-likelihood at theta; may be -inf for extreme parameters."""
-    return _loglik(work, *work.hazards(theta))
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Score and observed information at theta (:func:`_score_and_information`)."""
+        return _score_and_information(self.work, self.theta, self.cumhaz, self.eta)
 
 
 def _intercept_penalty(alpha: float, lambda1: float) -> float:
@@ -277,8 +270,7 @@ def _penalized_loglik(loglik: float, theta: Theta, penalty: PenaltyConfig) -> fl
 def log_likelihood(theta: Theta, spec: ModelSpec, data: Dataset) -> float:
     """Observed log-likelihood: sum of delta*log h(T) + log S(T) over subjects."""
     model = _Model(theta, spec)
-    work = _Workspace(model.spec, data)
-    terms = _loglik_terms(work, *work.hazards(model.theta))
+    terms = _Point(_Workspace(model.spec, data), model.theta).terms
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise NumericError(
@@ -296,8 +288,7 @@ def e_step(theta: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
     for inspection.
     """
     model = _Model(theta, spec)
-    log_haz, _ = _Workspace(model.spec, data).hazards(model.theta)
-    return _winning(log_haz)[:, model.back]
+    return _Point(_Workspace(model.spec, data), model.theta).eta[:, model.back]
 
 
 def _q_group_values(
@@ -470,18 +461,6 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
     return score, np.triu(info) + np.triu(info, 1).T
 
 
-def _observed_information(work: _Workspace, theta: Theta):
-    """Score and observed information (minus the Hessian of the observed
-    log-likelihood) at ``theta``, from one kernel call."""
-    log_haz, cumhaz = work.hazards(theta)
-    return _score_and_information(work, theta, cumhaz, _winning(log_haz))
-
-
-def _score(work: _Workspace, theta: Theta) -> np.ndarray:
-    """Gradient of the observed log-likelihood in the ``Theta.flatten`` layout."""
-    return _observed_information(work, theta)[0]
-
-
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
@@ -594,7 +573,7 @@ def _sigma_newton(
     d: np.ndarray, weight: np.ndarray, sigma: float, sigma_floor: float
 ) -> float:
     """The sigma in ``[sigma_floor, _SIGMA_MAX]`` that maximizes Q_l at the
-    fixed ``d = log T - mu``, found from the current ``sigma``.
+    fixed ``d = log T - mu``, found from the current ``sigma`` within them.
 
     With ``u = 1/sigma`` and the constant dropped, the objective is ``q(u) =
     u sum(weight d) + sum(weight) log u - sum exp(u d)`` on [lo, hi] = [1 /
@@ -607,8 +586,7 @@ def _sigma_newton(
     The maximizer is found when a Newton step is below ``_SIGMA_TOL``
     relative, or at a bound whose derivative points outward; by concavity it
     is then at least as good as the current sigma.  If the search fails, the
-    best u evaluated is returned.  A sigma outside the bounds is kept unless the
-    result beats it.  Every sum is a numpy reduction.
+    best u evaluated is returned.  Every sum is a numpy reduction.
     """
     s_weight = float(np.sum(weight))
     s_weighted_d = float(np.sum(weight * d))
@@ -624,9 +602,7 @@ def _sigma_newton(
                 -s_weight / u**2 - float(np.sum(d * d_cumhaz)),
             )
 
-    u0 = 1.0 / sigma
-    inside = lo <= u0 <= hi
-    u = min(max(u0, lo), hi)
+    u = u0 = 1.0 / sigma
     best_u, best_q = u, -math.inf
     lo_seen = hi_seen = False
     for _ in range(_SIGMA_ITERS):
@@ -660,7 +636,7 @@ def _sigma_newton(
                     break
         u = target
 
-    if best_u == u0 or not (inside or best_q > derivatives(u0)[0]):
+    if best_u == u0:
         return sigma
     # The bounds are returned exactly, not as the reciprocal of their reciprocal.
     if best_u == 1.0 / sigma_floor:
@@ -678,19 +654,19 @@ def _update_group(
     penalty: PenaltyConfig,
     sigma_floor: float,
 ) -> tuple[GroupParams, bool]:
-    """One M-step for a single group, from ``params`` with its sigma raised to
-    ``sigma_floor``: proximal Newton on (alpha, beta) at that sigma
-    (:func:`_newton_step`), each step halved until the penalized group
-    objective does not decrease, then the maximizer over sigma in
-    ``[sigma_floor, _SIGMA_MAX]`` at the new (alpha, beta)
-    (:func:`_sigma_newton`).  While ``lambda1 * exp(-alpha)`` overflows,
-    the step is +1 in alpha.  Never decreases the penalized group objective.
+    """One M-step for a single group, from ``params`` with its sigma clamped
+    into ``[sigma_floor, _SIGMA_MAX]``: proximal Newton on (alpha, beta) at
+    that sigma (:func:`_newton_step`), each step halved until the penalized
+    group objective does not decrease, then the maximizer over sigma within
+    the same bounds at the new (alpha, beta) (:func:`_sigma_newton`).
+    While ``lambda1 * exp(-alpha)`` overflows, the step is +1 in alpha.
+    Never decreases the penalized group objective.
     Returns the new parameters and whether the group stalled: a gradient
     was not finite or no halving was accepted; (alpha, beta) then stay at
     the last accepted step, and sigma is still re-maximized.
     """
     x = work.x_groups[l]
-    alpha, beta, sigma = params.alpha, params.beta, max(params.sigma, sigma_floor)
+    alpha, beta, sigma = params.alpha, params.beta, min(max(params.sigma, sigma_floor), _SIGMA_MAX)
 
     def objective(alpha: float, beta: np.ndarray):
         q, terms = _q_group_values(work, l, alpha, beta, sigma, eta_l)
@@ -831,16 +807,9 @@ def _norm(change: np.ndarray) -> float:
     return top * math.sqrt(float(np.sum((size / top) ** 2)))
 
 
-def _newton_system(
-    work: _Workspace,
-    theta: Theta,
-    score: np.ndarray,
-    info: np.ndarray,
-    penalty: PenaltyConfig,
-    sigma_floor: float,
-):
+def _newton_system(point: _Point, penalty: PenaltyConfig, sigma_floor: float):
     """Ascent gradient and negated Hessian of the penalized observed
-    objective at ``theta``, its active set, and the KKT residual per
+    objective at ``point``, its active set, and the KKT residual per
     coordinate.
 
     The gradient is the score plus ``lambda1 exp(-alpha)`` on the alphas and
@@ -852,8 +821,9 @@ def _newton_system(
     zero beta, and the inward gradient at a sigma on a bound; it is not
     finite when the score is not.
     """
-    x = theta.flatten()
-    alphas, sigmas, betas = work.alpha_at, work.sigma_at, work.is_beta
+    score, info = point.derivatives
+    x = point.theta.flatten()
+    alphas, sigmas, betas = point.work.alpha_at, point.work.sigma_at, point.work.is_beta
     pull = np.array([_intercept_penalty(alpha, penalty.lambda1) for alpha in x[alphas]])
     grad, neg_hess = score.copy(), info.copy()
     grad[alphas] += pull
@@ -873,6 +843,13 @@ def _newton_system(
     return grad, neg_hess, active, resid
 
 
+def _fixed_at_kkt(point: _Point, penalty: PenaltyConfig, sigma_floor: float) -> bool:
+    """Whether the coordinates held fixed at ``point`` (zero betas, sigmas on
+    a bound) meet their KKT conditions."""
+    _, _, active, resid = _newton_system(point, penalty, sigma_floor)
+    return bool(np.all(resid[~active] == 0.0))
+
+
 def _active_newton_step(grad, neg_hess, active) -> np.ndarray | None:
     """The Newton step on the active set, zero elsewhere; None unless the
     active block of ``neg_hess`` has a Cholesky factor and the step is
@@ -890,117 +867,98 @@ def _active_newton_step(grad, neg_hess, active) -> np.ndarray | None:
     return step if np.all(np.isfinite(step)) else None
 
 
-def _newton_finish(
-    work: _Workspace, penalty: PenaltyConfig, config: FitConfig, point: _Point, budget: int
-):
-    """At most ``budget`` Newton steps on the penalized observed objective
-    from ``point``.
+def _newton_point(point: _Point, penalty: PenaltyConfig, sigma_floor: float):
+    """One Newton step on the penalized observed objective from ``point``:
+    ``(step, new point)``, or None when a safeguard fails.
 
-    Before each step the coordinates held fixed (zero betas, sigmas on a
-    bound) must meet their KKT conditions.  A step is taken only when the
-    active block of the negated Hessian has a Cholesky factor, the new point
-    is finite, no beta changes sign (when lambda2 > 0), every active sigma
-    stays within its bounds, and the penalized objective does not decrease.
-    Returns the (loglik, penalized) trace entries of the steps taken, the
-    last point, whether the last step moved less than ``epsilon`` with the
-    fixed coordinates meeting their KKT conditions there, and the score and
-    information at the last point.
+    The coordinates held fixed must meet their KKT conditions at ``point``.
+    The step is taken only when the active block of the negated Hessian has
+    a Cholesky factor, the new point is finite, no beta changes sign (when
+    lambda2 > 0), every active sigma stays within its bounds, and the
+    penalized objective does not decrease.
     """
-    derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
-    trace: list[tuple[float, float]] = []
-    moved = math.inf
-    while True:
-        grad, neg_hess, active, resid = _newton_system(
-            work, point.theta, *derivs, penalty, config.sigma_floor
-        )
-        fixed_ok = bool(np.all(resid[~active] == 0.0))
-        if moved < config.epsilon or not fixed_ok or len(trace) == budget:
-            return trace, point, moved < config.epsilon and fixed_ok, derivs
-        step = _active_newton_step(grad, neg_hess, active)
-        if step is None:
-            return trace, point, False, derivs
-        x = point.theta.flatten()
-        new = x + step
-        betas, sigma = work.is_beta, new[work.sigma_at]
-        in_bounds = (sigma >= config.sigma_floor) & (sigma <= _SIGMA_MAX)
-        if not (
-            np.all(np.isfinite(new))
-            and (penalty.lambda2 == 0.0 or np.array_equal(np.sign(new[betas]), np.sign(x[betas])))
-            and np.all(in_bounds | ~active[work.sigma_at])
-        ):
-            return trace, point, False, derivs
-        candidate = _Point(work, Theta.from_flat(new, work.spec), penalty)
-        if not (
-            math.isfinite(candidate.penalized) and _no_worse(candidate.penalized, point.penalized)
-        ):
-            return trace, point, False, derivs
-        moved = _norm(step)
-        point = candidate
-        trace.append((point.loglik, point.penalized))
-        derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
+    grad, neg_hess, active, resid = _newton_system(point, penalty, sigma_floor)
+    if not np.all(resid[~active] == 0.0):
+        return None
+    step = _active_newton_step(grad, neg_hess, active)
+    if step is None:
+        return None
+    work, x = point.work, point.theta.flatten()
+    new = x + step
+    betas, sigma = work.is_beta, new[work.sigma_at]
+    in_bounds = (sigma >= sigma_floor) & (sigma <= _SIGMA_MAX)
+    if not (
+        np.all(np.isfinite(new))
+        and (penalty.lambda2 == 0.0 or np.array_equal(np.sign(new[betas]), np.sign(x[betas])))
+        and np.all(in_bounds | ~active[work.sigma_at])
+    ):
+        return None
+    candidate = _Point(work, Theta.from_flat(new, work.spec), penalty)
+    if not (math.isfinite(candidate.penalized) and _no_worse(candidate.penalized, point.penalized)):
+        return None
+    return step, candidate
 
 
 def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: Theta, labels):
-    """EM from ``theta`` with a Newton finish; returns the
+    """EM maps and Newton steps from ``theta``; returns the
     :class:`FitResult` without standard errors and the observed information
     at its ``theta_hat``, both in the workspace's group order.  Warnings
     name group ``l`` as ``labels[l]``.
 
-    Each EM map is :func:`_em_map` at the winning probabilities of its input.
-    A map that moves theta by less than ``_NEWTON_START`` hands over to
-    :func:`_newton_finish`; when that stops short of convergence, EM maps
-    resume from its last point, and Newton is tried again once the set of
-    zero betas changes or ``_NEWTON_RETRY`` maps have passed.  Lasso zeros
-    stay exact and sigma stays at or above the floor.  ``max_em_iters`` caps
-    the maps and Newton steps together, each is one trace entry, and each
-    one's move is its own stop test.
+    Each iteration moves from the current point by one EM map
+    (:func:`_em_map` at the point's winning probabilities) or one Newton
+    step (:func:`_newton_point`).  A map that moves theta by less than
+    ``_NEWTON_START`` hands over to Newton steps, which go on until one fails
+    a safeguard; EM maps then resume, and Newton is tried again once the set
+    of zero betas changes or ``_NEWTON_RETRY`` maps have passed.  A map that
+    moves theta by less than ``epsilon`` converges, and so does a Newton step
+    if the fixed coordinates then meet their KKT conditions; that test comes
+    before the budget of ``max_em_iters`` iterations.  Lasso zeros stay
+    exact and sigma stays within its bounds.
     """
-    # One kernel evaluation per map or Newton step: it gives the trace entry
-    # of its output and the next E-step.
+    # The evaluation of each iteration's output point gives its trace entry
+    # and the next E-step.
     start = Theta([
-        GroupParams(g.alpha, g.beta, max(g.sigma, config.sigma_floor)) for g in theta.groups
+        GroupParams(g.alpha, g.beta, min(max(g.sigma, config.sigma_floor), _SIGMA_MAX))
+        for g in theta.groups
     ])
     point = _Point(work, start, penalty)
     loglik_trace, penalized_trace = [point.loglik], [point.penalized]
     warnings: list[str] = []
-    derivs = None  # score and information at point, once computed
-    converged = False
+    converged = newton = False
     retry_zeros, maps_since_newton = None, 0
 
     while len(loglik_trace) <= config.max_em_iters:
-        m = len(loglik_trace) - 1
-        theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
-        warnings.extend(
-            f"iteration {m}: group {labels[l]} (alpha, beta) line search stalled; "
-            "alpha and beta kept, sigma re-maximized"
-            for l in stalled
-        )
-        new = _Point(work, theta, penalty)
-        moved = _norm(new.theta.flatten() - point.theta.flatten())
-        point, derivs = new, None
+        taken = _newton_point(point, penalty, config.sigma_floor) if newton else None
+        if taken is not None:
+            step, point = taken
+            moved = _norm(step)
+            converged = moved < config.epsilon and _fixed_at_kkt(point, penalty, config.sigma_floor)
+        else:
+            m = len(loglik_trace) - 1
+            theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
+            warnings.extend(
+                f"iteration {m}: group {labels[l]} (alpha, beta) line search stalled; "
+                "alpha and beta kept, sigma re-maximized"
+                for l in stalled
+            )
+            new = _Point(work, theta, penalty)
+            moved = _norm(new.theta.flatten() - point.theta.flatten())
+            point = new
+            maps_since_newton += 1
+            converged = moved < config.epsilon
+            zeros = point.theta.flatten()[work.is_beta] == 0.0
+            newton = moved < _NEWTON_START and (
+                maps_since_newton >= _NEWTON_RETRY or not np.array_equal(zeros, retry_zeros)
+            )
+            if newton:
+                retry_zeros, maps_since_newton = zeros, 0
         loglik_trace.append(point.loglik)
         penalized_trace.append(point.penalized)
-        maps_since_newton += 1
-        if moved < config.epsilon:
-            converged = True
+        if converged:
             break
-        budget = config.max_em_iters + 1 - len(loglik_trace)
-        if budget == 0:
-            break
-        zeros = point.theta.flatten()[work.is_beta] == 0.0
-        if moved < _NEWTON_START and (
-            maps_since_newton >= _NEWTON_RETRY or not np.array_equal(zeros, retry_zeros)
-        ):
-            trace, point, converged, derivs = _newton_finish(work, penalty, config, point, budget)
-            loglik_trace += [entry[0] for entry in trace]
-            penalized_trace += [entry[1] for entry in trace]
-            if converged:
-                break
-            retry_zeros, maps_since_newton = zeros, 0
 
-    if derivs is None:
-        derivs = _score_and_information(work, point.theta, point.cumhaz, point.eta)
-    resid = _newton_system(work, point.theta, *derivs, penalty, config.sigma_floor)[3]
+    resid = _newton_system(point, penalty, config.sigma_floor)[3]
     result = FitResult(
         theta_hat=point.theta,
         std_errors=None,
@@ -1013,7 +971,7 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         warnings=tuple(warnings),
         kkt_residual=float(np.max(resid)),
     )
-    return result, derivs[1]
+    return result, point.derivatives[1]
 
 
 def fit_em(
@@ -1091,7 +1049,7 @@ def standard_errors(theta_hat: Theta, spec: ModelSpec, data: Dataset) -> np.ndar
     duplicated group, and :class:`NumericError` when an entry is not finite.
     """
     model = _Model(theta_hat, spec)
-    info = _observed_information(_Workspace(model.spec, data), model.theta)[1]
+    info = _Point(_Workspace(model.spec, data), model.theta).derivatives[1]
     return _standard_errors(info, spec, model.order)
 
 

@@ -53,9 +53,11 @@ class StepSurvival:
         vals = np.asarray(self.values, dtype=float)
         if jt.shape != vals.shape or jt.ndim != 1:
             raise SpecError("jump_times and values must be equal-length vectors")
-        if jt.size and (np.any(np.diff(jt) <= 0) or np.any(jt <= 0)):
-            raise SpecError("jump_times must be positive and strictly increasing")
-        if np.any(np.diff(vals) > 1e-15) or (vals.size and (vals[0] > 1.0 or vals[-1] < 0.0)):
+        # Each test is written so that a NaN fails it.
+        if not (np.all(np.diff(jt) > 0) and np.all((jt > 0) & (jt < np.inf))):
+            raise SpecError("jump_times must be positive, finite and strictly increasing")
+        in_range = not vals.size or (vals[0] <= 1.0 and vals[-1] >= 0.0)
+        if not (np.all(np.diff(vals) <= 1e-15) and in_range):
             raise SpecError("values must be non-increasing within [0, 1]")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "values", vals)
@@ -87,6 +89,8 @@ class RocCurve:
         tpr = np.asarray(self.tpr, dtype=float)
         if fpr.shape != tpr.shape:
             raise SpecError("fpr and tpr must have equal length")
+        if not (np.all(np.isfinite(fpr)) and np.all(np.isfinite(tpr)) and np.isfinite(self.auc)):
+            raise SpecError("fpr, tpr and auc must be finite")
         if np.any(np.diff(fpr) < -1e-12) or np.any(np.diff(tpr) < -1e-12):
             raise SpecError("ROC sweep must be monotone")
         area = float(np.trapezoid(tpr, fpr))
@@ -277,9 +281,14 @@ def time_dependent_roc(marker, times, status, horizon: float) -> RocCurve:
 
 
 def default_time_grid(times, status, n_points: int = 9) -> np.ndarray:
-    """Deciles of the observed event times between the 10th and 90th percentile."""
+    """Deciles of the observed event times between the 10th and 90th percentile.
+
+    A time that is not finite or a status other than 0 or 1 raises
+    :class:`SpecError`.
+    """
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
+    _check_times_and_status(times, status)
     event_times = times[status == 1]
     if event_times.size < 2:
         raise MetricError("need at least two event times to build a grid")

@@ -279,6 +279,8 @@ def group_log_scale(params: GroupParams, x_row, group: GroupSpec) -> float:
         )
     if group.covariate_indices and (x_row.ndim != 1 or x_row.shape[0] <= group.covariate_indices[-1]):
         raise SpecError("covariate row is too short for this group's index set")
+    if not np.all(np.isfinite(x_row)):
+        raise SpecError("every covariate must be finite")
     x = np.atleast_1d(x_row)[None, list(group.covariate_indices)]
     return float(_group_mu(x, params.alpha, params.beta)[0])
 
@@ -343,13 +345,16 @@ class _Model:
 
     def mu(self, covariates) -> np.ndarray:
         """(n, L) linear predictors of the rows of a covariate matrix with
-        exactly ``spec.p`` columns, laid out as :func:`_mu_matrix` lays them."""
+        exactly ``spec.p`` columns, all finite, laid out as :func:`_mu_matrix`
+        lays them."""
         covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
         if covariates.ndim != 2 or covariates.shape[1] != self.spec.p:
             raise SpecError(
                 f"covariate rows have {covariates.shape[-1]} entries but the spec "
                 f"has p={self.spec.p}"
             )
+        if not np.all(np.isfinite(covariates)):
+            raise SpecError("every covariate must be finite")
         return _mu_matrix(self.theta, _group_designs(self.spec, covariates))
 
 
@@ -473,7 +478,9 @@ def sample_events(
     eps = np.log(-np.log1p(-u))
     log_latent = mu + model.sigma[model.back] * eps
     causes = np.argmin(log_latent, axis=1)
-    times = np.exp(log_latent[np.arange(n), causes])
+    # A time beyond the doubles becomes 0 or inf, quietly; the caller decides.
+    with np.errstate(over="ignore"):
+        times = np.exp(log_latent[np.arange(n), causes])
     return times, causes.astype(np.int64)
 
 

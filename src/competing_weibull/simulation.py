@@ -146,8 +146,12 @@ def calibrate_censoring_rate(true_times, target_rate: float) -> float:
     Solves ``mean_i (1 - exp(-rate * t_i)) = target_rate`` by root bracketing
     and bisection over the observed sample; the left side is the expected
     fraction of subjects whose censoring time lands before their event.
+    Every time must be positive and finite: a latent time that underflowed
+    to 0 or overflowed to inf leaves no rate to calibrate.
     """
     true_times = np.asarray(true_times, dtype=float)
+    if not np.all((true_times > 0.0) & (true_times < np.inf)):
+        raise ConfigError("event times must be positive and finite to calibrate censoring")
     if not (0.0 <= target_rate < 1.0):
         raise ConfigError(f"target censoring rate must lie in [0, 1), got {target_rate}")
     if target_rate == 0.0:

@@ -13,7 +13,7 @@ import pytest
 from scipy import optimize
 
 import competing_weibull as cw
-from competing_weibull.estimation import _Workspace, _loglik_raw, penalized_q_group
+from competing_weibull.estimation import _Point, _Workspace, penalized_q_group
 from competing_weibull.metrics import (
     concordance_index,
     default_time_grid,
@@ -369,7 +369,7 @@ class TestCriterion9IdentityReduction:
 
         def negll(vec):
             flat = np.array([*vec[:4], math.exp(vec[4])])
-            return -_loglik_raw(work, cw.Theta.from_flat(flat, spec))
+            return -_Point(work, cw.Theta.from_flat(flat, spec)).loglik
 
         start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         res = optimize.minimize(

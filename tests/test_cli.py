@@ -112,6 +112,19 @@ class TestSimulate:
         rows = read_csv_rows(out)
         assert len(rows) == 51 and rows[0] == ["time", "status", "x1", "x2"]
 
+    @pytest.mark.parametrize("alpha", [-800.0, 800.0])
+    def test_latent_times_outside_the_doubles_exit_2(self, tmp_path, capsys, alpha):
+        # At alpha = -800 every latent time underflows to 0, at +800 to inf.
+        group = {"indices": [0], "alpha": alpha, "beta": [0.9], "sigma": 1.0}
+        scenario = {"groups": [group], "n": 20, "p": 1, "target_censoring": 0.2, "seed": 1}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "data.csv"
+        assert run("simulate", "--scenario", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "positive and finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
@@ -527,6 +540,24 @@ class TestFitErrors:
         )
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_init_sigma_beyond_its_bound_starts_at_the_bound(self, tmp_path):
+        # sigma = 1e308 overflowed sigma**2 in the M-step.
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        rows = "\n".join(f"{t},1,{x}" for t, x in zip(rng.exponential(2, 100), rng.normal(size=100)))
+        data.write_text("time,status,x1\n" + rows + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"covariates": ["x1"]}]}))
+        outputs = []
+        for sigma in (1e308, 10.0):
+            init = tmp_path / f"init{sigma:g}.json"
+            group = {"covariates": ["x1"], "alpha": 0.5, "beta": [0.8], "sigma": sigma}
+            init.write_text(json.dumps({"covariate_names": ["x1"], "groups": [group]}))
+            fit = tmp_path / f"fit{sigma:g}.json"
+            assert run("fit", "--data", data, "--spec", spec, "--init", init, "--out", fit) == 0
+            outputs.append(fit.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "predict"])
     def test_non_utf8_json_exits_2(self, tmp_path, capsys, command):

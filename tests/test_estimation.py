@@ -12,11 +12,9 @@ from scipy import optimize
 import competing_weibull as cw
 from competing_weibull import estimation
 from competing_weibull.estimation import (
+    _Point,
     _Workspace,
-    _loglik_raw,
-    _observed_information,
     _penalized_loglik,
-    _score,
     penalized_q_group,
 )
 from conftest import random_instance
@@ -65,7 +63,7 @@ def direct_mle(spec, data, start_flat):
         return out
 
     def negll(vec):
-        return -_loglik_raw(work, cw.Theta.from_flat(unpack(vec), spec))
+        return -_Point(work, cw.Theta.from_flat(unpack(vec), spec)).loglik
 
     res = optimize.minimize(
         negll,
@@ -272,14 +270,14 @@ class TestScore:
             spec, truth, data = random_instance(rng, n=200)
             work = _Workspace(spec, data)
             x0 = truth.flatten() + rng.normal(0.0, 0.1, truth.n_params)
-            analytic = _score(work, cw.Theta.from_flat(x0, spec))
+            analytic = _Point(work, cw.Theta.from_flat(x0, spec)).derivatives[0]
             fd = np.empty_like(x0)
             for j in range(x0.shape[0]):
                 step = np.zeros_like(x0)
                 step[j] = 1e-6 * (1.0 + abs(x0[j]))
                 fd[j] = (
-                    _loglik_raw(work, cw.Theta.from_flat(x0 + step, spec))
-                    - _loglik_raw(work, cw.Theta.from_flat(x0 - step, spec))
+                    _Point(work, cw.Theta.from_flat(x0 + step, spec)).loglik
+                    - _Point(work, cw.Theta.from_flat(x0 - step, spec)).loglik
                 ) / (2 * step[j])
             worst = max(worst, np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)))
         assert worst < 1e-6
@@ -398,6 +396,30 @@ class TestMStepBlocksAreExact:
 
 
 class TestFitEM:
+    def test_start_sigma_is_clamped_into_its_bounds(self):
+        # A sigma of 1e308 overflowed sigma**2 in the M-step; a start or an
+        # M-step input outside [sigma_floor, 10] now runs from the nearest bound.
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        data = cw.generate(scen).data
+        penalty, config = cw.PenaltyConfig(2.0, 1.0), cw.FitConfig(sigma_floor=0.5)
+        eta = cw.e_step(scen.truth, scen.model, data)
+
+        def with_sigma(sigma):
+            return cw.Theta([cw.GroupParams(g.alpha, g.beta, sigma) for g in scen.truth.groups])
+
+        for outside, bound in ((1e308, 10.0), (1e-300, 0.5)):
+            fits = [
+                cw.fit_em(scen.model, data, penalty, config, theta_init=with_sigma(s))
+                for s in (outside, bound)
+            ]
+            assert np.array_equal(fits[0].penalized_trace, fits[1].penalized_trace)
+            assert np.array_equal(fits[0].theta_hat.flatten(), fits[1].theta_hat.flatten())
+            maps = [
+                cw.m_step(with_sigma(s), scen.model, data, eta, penalty, config).flatten()
+                for s in (outside, bound)
+            ]
+            assert np.array_equal(maps[0], maps[1])
+
     def test_example_one_replica_recovers_truth(self):
         scen = cw.builtin_scenario(1, 0.0, seed=5)
         sim = cw.generate(scen)
@@ -652,7 +674,7 @@ class TestPlainEmReference:
             fit = cw.fit_em(spec, data, penalty, config)
             assert fit.converged
             expected = _penalized_loglik(
-                _loglik_raw(_Workspace(spec, data), reference), reference, penalty
+                _Point(_Workspace(spec, data), reference).loglik, reference, penalty
             )
             assert abs(fit.final_penalized - expected) <= 1e-9 * (1.0 + abs(expected))
             flat, ref_flat = fit.theta_hat.flatten(), reference.flatten()
@@ -666,8 +688,8 @@ class TestPlainEmReference:
 
 
 class TestSquarem:
-    """The EM driver: plain EM maps with a Newton finish (named for the
-    extrapolation it once had)."""
+    """The EM driver: plain EM maps with Newton steps (the class is named for
+    the extrapolation the driver once had)."""
 
     # At the default floor no sigma reaches it, and Newton steps finish the
     # larger budgets; at 1.05, which the fitted sigmas of this dataset press
@@ -718,17 +740,48 @@ class TestSquarem:
         assert fit.n_iters >= 1
 
 
+class TestOneLoop:
+    """EM maps and Newton steps are iterations of one loop, so a budget of k
+    iterations stops the unbudgeted fit after its first k."""
+
+    @pytest.mark.parametrize(
+        "example, censoring, lambda2, n_full",
+        [(1, 0.1, 30.0, 26), (2, 0.2, 1.0, 12)],
+        ids=["ex1-crawl", "ex2"],
+    )
+    def test_budget_truncates_the_unbudgeted_fit(self, example, censoring, lambda2, n_full):
+        # Example 1 at lambda2 = 30 is the crawl of TestNewtonFinish.
+        scen = cw.builtin_scenario(example, censoring, seed=3)
+        data = cw.generate(scen).data
+        penalty = cw.PenaltyConfig(2.0, lambda2)
+        full = cw.fit_em(scen.model, data, penalty)
+        assert full.converged and full.n_iters == n_full
+        for k in range(1, n_full + 1):
+            fit = cw.fit_em(scen.model, data, penalty, cw.FitConfig(max_em_iters=k))
+            assert np.array_equal(fit.penalized_trace, full.penalized_trace[: k + 1])
+            assert fit.converged == (k == n_full)
+        assert np.array_equal(fit.theta_hat.flatten(), full.theta_hat.flatten())
+        for name in ("std_errors", "winning_probs", "loglik_trace"):
+            assert np.array_equal(getattr(fit, name), getattr(full, name))
+        assert (fit.n_iters, fit.warnings, fit.kkt_residual) == (
+            full.n_iters, full.warnings, full.kkt_residual
+        )
+
+
 def spy_newton(monkeypatch):
-    """Record (steps taken, converged) of every Newton finish."""
+    """Record every run of Newton steps as (steps taken, whether the run was
+    still going when the fit ended); a run ends when a step fails a
+    safeguard, and one that ended the fit of a converged fit converged."""
     phases = []
-    real = estimation._newton_finish
+    real = estimation._newton_point
 
     def spy(*args):
         out = real(*args)
-        phases.append((len(out[0]), out[2]))
+        steps = phases.pop()[0] if phases and phases[-1][1] else 0
+        phases.append((steps + (out is not None), out is not None))
         return out
 
-    monkeypatch.setattr(estimation, "_newton_finish", spy)
+    monkeypatch.setattr(estimation, "_newton_point", spy)
     return phases
 
 
@@ -804,8 +857,8 @@ def central_difference_information(work, spec, x0):
         step = np.zeros(d)
         step[j] = 1e-6 * (1.0 + abs(x0[j]))
         jac[:, j] = (
-            _score(work, cw.Theta.from_flat(x0 + step, spec))
-            - _score(work, cw.Theta.from_flat(x0 - step, spec))
+            _Point(work, cw.Theta.from_flat(x0 + step, spec)).derivatives[0]
+            - _Point(work, cw.Theta.from_flat(x0 - step, spec)).derivatives[0]
         ) / (2.0 * step[j])
     return -0.5 * (jac + jac.T)
 
@@ -832,8 +885,7 @@ class TestObservedInformation:
     def test_matches_central_differences_of_score(self):
         for spec, theta, data in self.instances():
             work = _Workspace(spec, data)
-            score, info = _observed_information(work, theta)
-            assert np.array_equal(score, _score(work, theta))
+            info = _Point(work, theta).derivatives[1]
             assert np.array_equal(info, info.T)
             reference = central_difference_information(work, spec, theta.flatten())
             assert np.max(np.abs(info - reference)) <= 1e-6 * np.max(np.abs(reference))

@@ -323,6 +323,13 @@ class TestInputChecks:
         with pytest.raises(cw.SpecError, match="nonempty"):
             cw.time_dependent_roc([], [], [], 1.0)
 
+    @pytest.mark.parametrize("name, bad", [("times", np.nan), ("times", np.inf), ("status", 2)])
+    def test_default_time_grid_rejects_bad_inputs(self, name, bad):
+        # A NaN time gave the grid [nan], and status 2 counted as censored.
+        _, times, status = self.replaced(name, 1, bad)
+        with pytest.raises(cw.SpecError, match=name[:-1]):
+            default_time_grid(np.concatenate([times, times]), np.concatenate([status, status]))
+
 
 class TestMemory:
     def test_peak_stays_linear_at_n_4000(self):
@@ -429,6 +436,26 @@ class TestStepSurvivalAndRocTypes:
             cw.StepSurvival(np.array([2.0, 1.0]), np.array([0.5, 0.4]))
         with pytest.raises(cw.SpecError):
             cw.StepSurvival(np.array([1.0, 2.0]), np.array([0.4, 0.5]))
+
+    @pytest.mark.parametrize("where", ["jump_times", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_survival_rejects_non_finite_entries(self, where, bad):
+        arrays = {"jump_times": np.array([1.0, 2.0, 3.0]), "values": np.array([0.9, 0.5, 0.2])}
+        for k in range(3):
+            changed = dict(arrays, **{where: arrays[where].copy()})
+            changed[where][k] = bad
+            with pytest.raises(cw.SpecError):
+                cw.StepSurvival(**changed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_roc_curve_rejects_non_finite_entries(self, bad):
+        with pytest.raises(cw.SpecError):
+            cw.RocCurve(1.0, np.array([0.0, 1.0]), np.array([0.0, 1.0]), bad)
+        for field in ("fpr", "tpr"):
+            arrays = {"fpr": np.array([0.0, 0.5, 1.0]), "tpr": np.array([0.0, 0.5, 1.0])}
+            arrays[field][1] = bad
+            with pytest.raises(cw.SpecError):
+                cw.RocCurve(1.0, auc=0.5, **arrays)
 
     def test_roc_curve_validation(self):
         with pytest.raises(cw.SpecError):

@@ -614,3 +614,44 @@ class TestCovariateWidth:
                 continue
             accepted.append(name)
         assert accepted == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_rejects_non_finite_rows(self, bad):
+        # A NaN covariate gave S = nan and a sampled time nan with cause 0,
+        # and made expected_survival_time report a failed bracket.
+        scen = cw.builtin_scenario(2, 0.0)
+        theta, spec = scen.truth, scen.model
+        x = np.full((3, spec.p), 0.3)
+        x[1, 0] = bad
+        row = x[1]
+        rng = np.random.default_rng(0)
+        calls = {
+            "survival": lambda: cw.survival(theta, spec, row, 1.0),
+            "log_survival": lambda: cw.log_survival(theta, spec, row, 1.0),
+            "log_survival at 0": lambda: cw.log_survival(theta, spec, row, 0.0),
+            "hazard": lambda: cw.hazard(theta, spec, row, 1.0),
+            "hazard_by_group": lambda: cw.hazard_by_group(theta, spec, row, 1.0),
+            "density": lambda: cw.density(theta, spec, row, 1.0),
+            "winning_probability": lambda: cw.winning_probability(theta, spec, row, 1.0),
+            "expected_survival_time": lambda: cw.expected_survival_time(theta, spec, row),
+            "auto_cutoff": lambda: cw.auto_cutoff(theta, spec, row),
+            "tail_integral_bounds": lambda: cw.tail_integral_bounds(theta, spec, row, 50.0),
+            "sample_event": lambda: cw.sample_event(theta, spec, row, rng),
+            "sample_events": lambda: cw.sample_events(theta, spec, x, rng),
+            "risk_marker": lambda: cw.risk_marker(theta, spec, row),
+            "risk_markers": lambda: cw.risk_markers(
+                theta, spec, x, mode="one_minus_survival", horizon=1.0
+            ),
+            "group_log_scale": lambda: cw.group_log_scale(theta.groups[0], row, spec.groups[0]),
+        }
+        accepted = []
+        for name, call in calls.items():
+            try:
+                call()
+            except cw.SpecError:
+                continue
+            except Exception as exc:  # the wrong error type counts as accepted
+                accepted.append(f"{name}: {type(exc).__name__}")
+                continue
+            accepted.append(name)
+        assert accepted == []

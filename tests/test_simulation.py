@@ -132,6 +132,12 @@ class TestApplyCensoring:
         with pytest.raises(cw.ConfigError):
             cw.apply_censoring(np.ones(3), -0.1, rng)
 
+    @pytest.mark.parametrize("times", [[1.0, 0.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]])
+    def test_times_outside_the_positive_reals_rejected(self, times):
+        # All-zero times divided by zero when bracketing the rate.
+        with pytest.raises(cw.ConfigError, match="positive and finite"):
+            cw.calibrate_censoring_rate(times, 0.2)
+
     def test_example_two_censored_counts_near_benchmark(self):
         # benchmark censored counts at n=1500: 161, 289, 443
         for target, rate in ((0.1, 161 / 1500), (0.2, 289 / 1500), (0.3, 443 / 1500)):
