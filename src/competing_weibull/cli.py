@@ -262,12 +262,8 @@ def cmd_evaluate(args) -> int:
     if args.rocdir:
         os.makedirs(args.rocdir, exist_ok=True)
         for t, curve in curves.items():
-            base = os.path.join(args.rocdir, f"roc_{t:g}")
-            formats.write_csv(base + ".csv", ["fpr", "tpr"], [curve.fpr, curve.tpr])
-            points = np.column_stack([curve.fpr, curve.tpr]).tolist()
-            formats.atomic_write_text(
-                base + ".json",
-                formats.canonical_json({"horizon": t, "auc": curve.auc, "points": points}),
+            formats.write_roc_files(
+                os.path.join(args.rocdir, f"roc_{t:g}"), t, curve.fpr, curve.tpr, curve.auc
             )
 
     report = {

@@ -403,9 +403,11 @@ def q_gradients(
     g_alpha, g_beta = _location_gradient(work.x_groups[l], g.alpha, sigma, terms, penalty.lambda1)
     g_beta = g_beta - penalty.lambda2 * np.sign(g.beta)
     with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's power overflows to inf where a Python float's raises
         g_sigma = float(
             np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
-        ) / sigma**2
+            / np.float64(sigma) ** 2
+        )
     return QGroupGradients(g_alpha, g_beta, g_sigma, sigma_clipped=clipped)
 
 
@@ -454,7 +456,8 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
                 w_a = np.einsum("ji,i->j", a, w) / g.sigma
                 own[-1] -= w_a
                 own[:, -1] -= w_a
-                own[-1, -1] -= float(np.sum(excess)) / g.sigma**2
+                # numpy's power overflows to inf where a Python float's raises
+                own[-1, -1] -= float(np.sum(excess)) / np.float64(g.sigma) ** 2
                 info[block, block] += own
                 a *= eta[rows, l]
             info += np.einsum("ji,i,ki->jk", eta_a, delta, eta_a)

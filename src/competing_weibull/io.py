@@ -12,10 +12,11 @@ rows: a float is written as its shortest round-trip ``repr`` (what
 csv.writer writes for a Python float), an integer or boolean as an integer,
 so a flag reads ``0``/``1``.  :func:`read_dataset_csv` parses every cell with
 one ``map(float, ...)`` and checks widths and status as arrays.
-:func:`canonical_json` joins lists of numbers, and lists of equally long
-number lists, in one string operation; everything else is encoded by the
-standard library, so its output equals ``json.dumps(obj, sort_keys=True,
-indent=2) + "\n"``.
+:func:`canonical_json` joins a list of numbers in one string operation;
+everything else is encoded by the standard library, so its output equals
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  :func:`write_roc_files`
+writes a ROC curve's CSV and JSON exactly as those two functions would,
+formatting each distinct coordinate once.
 
 Every input is checked here.  A malformed one raises ConfigError naming the
 CSV file and line or the JSON key path: text that is not UTF-8, invalid JSON,
@@ -49,6 +50,7 @@ __all__ = [
     "canonical_json",
     "read_json",
     "write_csv",
+    "write_roc_files",
     "read_dataset_csv",
     "write_dataset_csv",
     "scenario_from_json",
@@ -72,23 +74,17 @@ def _json_text(obj, newline: str) -> str:
     and the indent of the enclosing value) starts each of its lines.
 
     The standard encoder formats indented JSON in pure Python, one value at a
-    time.  Here a list of numbers is one ``join`` and a list of equally long
-    number lists one ``%`` template, and ``repr``'s ``nan``/``inf`` are then
-    spelled ``NaN``/``Infinity`` as the encoder spells them.  Containers
-    recurse; anything else, including a dict with a key that is not a string,
-    is encoded by ``json.dumps`` and re-indented, which is exact because JSON
-    text has no raw line end inside a string.
+    time.  Here a list of numbers is one ``join``, and ``repr``'s
+    ``nan``/``inf`` are then spelled ``NaN``/``Infinity`` as the encoder
+    spells them.  Containers recurse; anything else, including a dict with a
+    key that is not a string, is encoded by ``json.dumps`` and re-indented,
+    which is exact because JSON text has no raw line end inside a string.
     """
     inner = newline + "  "
     if isinstance(obj, (list, tuple)) and obj:
         types = set(map(type, obj))
         if types <= _NUMBER_TYPES:
             body = _finite_spelling(("," + inner).join(map(repr, obj)))
-        elif types <= {list, tuple} and _is_number_table(obj):
-            deeper = inner + "  "
-            row = "[" + ",".join([deeper + "%r"] * len(obj[0])) + inner + "]"
-            body = ("," + inner).join([row] * len(obj)) % tuple(chain.from_iterable(obj))
-            body = _finite_spelling(body)
         else:
             body = ("," + inner).join([_json_text(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
@@ -99,14 +95,6 @@ def _json_text(obj, newline: str) -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
-
-
-def _is_number_table(rows) -> bool:
-    """Whether ``rows`` (lists or tuples) are nonempty, equally long and hold
-    only floats and ints."""
-    return len(set(map(len, rows))) == 1 and len(rows[0]) > 0 and (
-        set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
-    )
 
 
 def _finite_spelling(text: str) -> str:
@@ -165,6 +153,37 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
         chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
         parts.append(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
     atomic_write_text(path, "".join(parts))
+
+
+def _float_reprs(column) -> list[str]:
+    """``repr`` of each float in ``column``, each distinct value formatted
+    once.  Values are told apart by their bits, so -0.0 and 0.0 keep their
+    own spellings."""
+    bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def write_roc_files(base: str, horizon: float, fpr, tpr, auc: float) -> None:
+    """Write one ROC curve to ``base.csv`` and ``base.json``.
+
+    The files are byte for byte ``write_csv(base + ".csv", ["fpr", "tpr"],
+    [fpr, tpr])`` and ``canonical_json({"horizon": horizon, "auc": auc,
+    "points": [[fpr_i, tpr_i], ...]})``.  A ROC curve is a staircase whose
+    coordinates repeat, so each distinct value of a column is formatted
+    once and both files are built from those strings.
+    """
+    fpr, tpr = _float_reprs(fpr), _float_reprs(tpr)
+    if len(fpr) != len(tpr) or not fpr:
+        raise ValueError("write_roc_files needs two nonempty columns of one length")
+    atomic_write_text(base + ".csv", "fpr,tpr\n" + "".join(map("{},{}\n".format, fpr, tpr)))
+    points = ",\n    ".join(map("[\n      {},\n      {}\n    ]".format, fpr, tpr))
+    atomic_write_text(
+        base + ".json",
+        '{\n  "auc": %s,\n  "horizon": %s,\n  "points": [\n    %s\n  ]\n}\n'
+        % (json.dumps(auc), json.dumps(horizon), _finite_spelling(points)),
+    )
 
 
 def read_json(path: str):

@@ -618,6 +618,28 @@ def _tail_bounds(cutoff: np.ndarray, amounts: np.ndarray, sigma: np.ndarray):
     return lower, point, upper
 
 
+def _check_window_start(mu: np.ndarray, sigma: np.ndarray, cutoff: np.ndarray) -> None:
+    """Reject a cutoff whose finite window starts past the bulk of the mass.
+
+    In u = log t the integrand ``t S(t)`` rises while ``t h(t) < 1`` and
+    falls after, and ``t h(t) = sum_l H_l(t) / sigma_l`` only grows with t.
+    The window starts at ``a = cutoff * e^-40``; where ``a h(a) >= 1`` the
+    integrand peaks below it and the quadrature misses the mass around the
+    peak.  The automatic cutoff needs no check: ``H_l(a) = H_l(cutoff)
+    e^(-40 / sigma_l)`` and ``e^(-40 / sigma) / sigma <= 1 / (40 e)``, so
+    ``a h(a) <= -log(1e-6) / (40 e) < 0.13``.
+    """
+    _, low = _hazards(mu, sigma, np.log(cutoff)[:, None] - _SPAN)
+    rate = np.sum(low / sigma, axis=1)
+    bad = np.flatnonzero(~(rate < 1.0))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(
+            f"cutoff {cutoff[i]} violates a * h(a) < 1 at a = cutoff * e^-40 (got "
+            f"{rate[i]}); the quadrature window misses the mass, decrease the cutoff"
+        )
+
+
 def _window_integrals(mu, cutoff, sigma, amounts):
     """Per-row integrals of S over the finite and the tail window of the cutoff.
 
@@ -669,6 +691,7 @@ def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
         cutoff = _auto_cutoff(mu, sigma, _CUTOFF_SURVIVAL)
     else:
         cutoff = np.full(mu.shape[0], _check_time(cutoff))
+        _check_window_start(mu, sigma, cutoff)
     _, amounts = _hazards(mu, sigma, np.log(cutoff)[:, None])
     lower, _, upper = _tail_bounds(cutoff, amounts, sigma)
     finite, tail = _window_integrals(mu, cutoff, sigma, amounts)
@@ -709,7 +732,9 @@ def expected_survival_time(
     rule mirrored onto ``[cutoff, cutoff * e^40]``; against closed forms the
     estimate is within rel 1e-12.  The Mill's-ratio bounds bracket the
     tail.  When ``cutoff`` is omitted it is the smallest time with
-    ``S(t) <= 1e-6``.
+    ``S(t) <= 1e-6``.  A given cutoff must satisfy ``S(cutoff) < 0.5``,
+    ``cutoff * h(cutoff) > 1`` and, at ``a = cutoff * e^-40``, ``a h(a) <
+    1``; otherwise ConfigError is raised.
     """
     parts = _expected_times(theta, spec, [x_row], cutoff)
     return ExpectedSurvivalTime(*(float(v[0]) for v in parts))

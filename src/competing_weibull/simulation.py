@@ -2,14 +2,15 @@
 
 Covariates are i.i.d. standard normal; event times and winning causes come
 from the latent-time sampler; random censoring uses independent exponential
-censoring times whose rate is calibrated by bisection so that the expected
-censored fraction matches the target.  Three built-in scenarios reproduce
-the desk-scale benchmark settings (disjoint, overlapping, and
+censoring times whose rate is calibrated by Brent's method so that the
+expected censored fraction matches the target.  Three built-in scenarios
+reproduce the desk-scale benchmark settings (disjoint, overlapping, and
 overlapping-with-true-zeros covariate groups).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +141,73 @@ def replication_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
+# Iterations :func:`_brent_root` may take, as many as scipy.optimize.brentq.
+_BRENT_MAXITER = 100
+
+
+def _brent_root(f, xpre: float, xcur: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` between ``xpre`` and ``xcur`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4): each
+    step interpolates, extrapolates or bisects, and the search stops once
+    the bracket is narrower than ``xtol + rtol * |x|``.  It returns the same
+    float as ``scipy.optimize.brentq(f, xpre, xcur, xtol=xtol, rtol=rtol)``.
+    ``f`` must change sign over the bracket.  Raises ConfigError when
+    ``_BRENT_MAXITER`` iterations do not converge.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # xblk is the bracket's other end; spre and scur the last two steps.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a denominator that underflowed to 0 gives C an
+                # infinite or NaN step, which fails the test below
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConfigError(f"root search did not converge in {_BRENT_MAXITER} iterations")
+
+
 def calibrate_censoring_rate(true_times, target_rate: float) -> float:
     """Exponential censoring rate with expected censored fraction on target.
 
     Solves ``mean_i (1 - exp(-rate * t_i)) = target_rate`` by root bracketing
-    and bisection over the observed sample; the left side is the expected
-    fraction of subjects whose censoring time lands before their event.
-    Every time must be positive and finite: a latent time that underflowed
-    to 0 or overflowed to inf leaves no rate to calibrate.
+    and Brent's method over the observed sample; the left side is the
+    expected fraction of subjects whose censoring time lands before their
+    event.  Every time must be positive and finite: a latent time that
+    underflowed to 0 or overflowed to inf leaves no rate to calibrate.
     """
     true_times = np.asarray(true_times, dtype=float)
     if not np.all((true_times > 0.0) & (true_times < np.inf)):
@@ -156,9 +216,6 @@ def calibrate_censoring_rate(true_times, target_rate: float) -> float:
         raise ConfigError(f"target censoring rate must lie in [0, 1), got {target_rate}")
     if target_rate == 0.0:
         return 0.0
-    # Imported here: scipy.optimize costs most of the package's import time,
-    # and only this root-finder needs it.
-    from scipy import optimize
 
     def expected_rate(rate: float) -> float:
         return float(np.mean(-np.expm1(-rate * true_times)))
@@ -172,10 +229,8 @@ def calibrate_censoring_rate(true_times, target_rate: float) -> float:
         raise ConfigError(
             f"could not bracket a censoring rate reaching target {target_rate}"
         )
-    return float(
-        optimize.brentq(
-            lambda r: expected_rate(r) - target_rate, 0.0, hi, xtol=1e-12, rtol=8.9e-16
-        )
+    return _brent_root(
+        lambda r: expected_rate(r) - target_rate, 0.0, hi, xtol=1e-12, rtol=8.9e-16
     )
 
 

@@ -696,21 +696,41 @@ class TestHorizonLabels:
         assert read_json(rocdir / "roc_1.json")["horizon"] == float(grid[0])
 
 
+def _scipy_modules_after(script: str, cwd) -> str:
+    """The ``scipy`` modules loaded once ``script`` has run in a fresh
+    interpreter, as printed by it."""
+    script += "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    src = str(Path(cw.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy(self):
-        # scipy.optimize is imported lazily by the one simulation routine
-        # that needs it; importing the CLI must not pull scipy in.
+    def test_cli_import_does_not_load_scipy(self, tmp_path):
+        # The runtime needs numpy alone: scipy is only a test oracle, and
+        # importing it would cost about half a second and 45 MB.
+        assert _scipy_modules_after("import sys\nimport competing_weibull.cli\n", tmp_path) == "[]"
+
+    def test_commands_do_not_load_scipy(self, tmp_path, spec_json_ex1):
+        # simulate with censoring calibrates the rate by the in-package root
+        # search; fit, predict and evaluate need nothing from scipy either.
         script = (
             "import sys\n"
-            "import competing_weibull.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "from competing_weibull.cli import main\n"
+            "for argv in (\n"
+            "    'simulate --example 1 --censoring 0.1 --seed 3 --out data.csv',\n"
+            "    'fit --data data.csv --spec spec.json --lambda1 2 --lambda2 1 --out fit.json',\n"
+            "    'predict --fit fit.json --data data.csv --at 0.5,1 --out pred.csv',\n"
+            "    'evaluate --fit fit.json --data data.csv --out report.json --rocdir rocs',\n"
+            "):\n"
+            "    assert main(argv.split()) == 0, argv\n"
         )
-        src = str(Path(cw.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _scipy_modules_after(script, tmp_path) == "[]"
 
 
 _ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0]

@@ -247,6 +247,15 @@ class TestQGradients:
         )
         assert grad.sigma_clipped
 
+    def test_huge_sigma_does_not_overflow(self):
+        # sigma**2 of a Python float raised OverflowError at sigma = 1e308.
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        data = cw.generate(scen).data
+        theta = cw.Theta([cw.GroupParams(g.alpha, g.beta, 1e308) for g in scen.truth.groups])
+        eta = cw.e_step(theta, scen.model, data)
+        grad = cw.q_gradients(0, theta, scen.model, data, eta, cw.PenaltyConfig(1.0, 1.0))
+        assert math.isfinite(grad.alpha) and np.all(np.isfinite(grad.beta))
+
     def test_large_lasso_weight_zeroes_noise_coefficient(self):
         # One informative and one pure-noise covariate; a lasso weight above
         # the score noise drives the noise coefficient to an exact 0.0.
@@ -964,6 +973,14 @@ class TestStandardErrors:
         data = cw.Dataset(times, np.ones(200, dtype=int), x)
         with pytest.raises(cw.SingularHessianError, match="beta\\[x2\\]"):
             cw.standard_errors(truth, spec, data)
+
+    def test_huge_sigma_raises_numeric_error(self):
+        # sigma**2 of a Python float raised OverflowError at sigma = 1e308.
+        scen = cw.builtin_scenario(1, 0.1, seed=3)
+        data = cw.generate(scen).data
+        theta = cw.Theta([cw.GroupParams(g.alpha, g.beta, 1e308) for g in scen.truth.groups])
+        with pytest.raises(cw.NumericError):
+            cw.standard_errors(theta, scen.model, data)
 
     def test_fit_em_survives_singular_information(self):
         rng = np.random.default_rng(12)

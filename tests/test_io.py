@@ -19,6 +19,7 @@ from competing_weibull.io import (
     read_dataset_csv,
     write_csv,
     write_dataset_csv,
+    write_roc_files,
 )
 from competing_weibull.model import Dataset
 
@@ -344,6 +345,44 @@ class TestDatasetCsvRoundTrip:
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3)])
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+class TestRocFiles:
+    @staticmethod
+    def _check_against_writers(tmp_path, horizon, fpr, tpr, auc):
+        fpr, tpr = np.array(fpr, dtype=float), np.array(tpr, dtype=float)
+        write_roc_files(str(tmp_path / "roc"), horizon, fpr, tpr, auc)
+        write_csv(str(tmp_path / "ref.csv"), ["fpr", "tpr"], [fpr, tpr])
+        points = np.column_stack([fpr, tpr]).tolist()
+        reference = canonical_json({"horizon": horizon, "auc": auc, "points": points})
+        assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "roc.json").read_text() == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=30).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0 / 3.0, 1e-5, 1.0]), min_size=n, max_size=n),
+                st.lists(st.floats(), min_size=n, max_size=n),
+            )
+        ),
+        _finite,
+    )
+    def test_matches_write_csv_and_canonical_json(self, tmp_path_factory, columns, auc):
+        # Repeated values, -0.0 next to 0.0, nan and inf all keep their spelling.
+        self._check_against_writers(tmp_path_factory.mktemp("roc"), 2.5, *columns, auc)
+
+    def test_a_staircase_curve(self, tmp_path):
+        rng = np.random.default_rng(3)
+        fpr = np.concatenate([[0.0], np.sort(rng.integers(0, 400, 5000)) / 400.0, [1.0]])
+        tpr = np.concatenate([[0.0], np.sort(rng.integers(0, 700, 5000)) / 700.0, [1.0]])
+        self._check_against_writers(tmp_path, 1.0, fpr, tpr, float(np.trapezoid(tpr, fpr)))
+
+    def test_rejects_mismatched_or_empty_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_roc_files(str(tmp_path / "roc"), 1.0, np.zeros(3), np.zeros(2), 0.5)
+        with pytest.raises(ValueError):
+            write_roc_files(str(tmp_path / "roc"), 1.0, np.zeros(0), np.zeros(0), 0.5)
 
 
 class TestOutputMode:

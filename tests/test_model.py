@@ -346,6 +346,20 @@ class TestExpectedSurvivalTime:
         with pytest.raises(cw.ConfigError, match="cutoff \\* h\\(cutoff\\) > 1"):
             cw.expected_survival_time(theta, spec, [], cutoff=0.9)
 
+    def test_cutoff_whose_window_misses_the_mass_rejected(self):
+        # E[T] = 0.627 here, and the window [cutoff e^-40, cutoff] once
+        # returned an estimate of 0.0 at cutoff 1e300.  At 1e5 it still
+        # covers the mass.
+        spec = cw.ModelSpec([cw.GroupSpec([]), cw.GroupSpec([])], p=0)
+        theta = cw.Theta([cw.GroupParams(0.0, [], 0.5), cw.GroupParams(0.0, [], 0.5)])
+        for cutoff in (1e300, 1e30):
+            with pytest.raises(cw.ConfigError, match="a \\* h\\(a\\) < 1 at a = cutoff \\* e\\^-40"):
+                cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+        auto = cw.expected_survival_time(theta, spec, [])
+        assert cw.expected_survival_time(theta, spec, [], cutoff=1e5).estimate == pytest.approx(
+            auto.estimate, rel=1e-3
+        )
+
     def test_mills_sandwich_against_fine_trapezoid(self):
         rng = np.random.default_rng(15)
         for _ in range(30):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import competing_weibull as cw
+from competing_weibull import simulation
 
 
 class TestBuiltinScenarios:
@@ -136,6 +137,65 @@ class TestApplyCensoring:
     def test_times_outside_the_positive_reals_rejected(self, times):
         # All-zero times divided by zero when bracketing the rate.
         with pytest.raises(cw.ConfigError, match="positive and finite"):
+            cw.calibrate_censoring_rate(times, 0.2)
+
+    def test_calibration_equals_scipy_brentq(self):
+        # The rate once came from scipy.optimize.brentq; the in-package port
+        # must return the very same float on the built-in examples at every
+        # censoring level and on exponential samples of any scale.
+        from scipy import optimize
+
+        def reference(times, target):
+            f = lambda r: float(np.mean(-np.expm1(-r * times))) - target
+            hi = 1.0 / float(np.mean(times))
+            while f(hi) < 0.0:
+                hi *= 2.0
+            return float(optimize.brentq(f, 0.0, hi, xtol=1e-12, rtol=8.9e-16))
+
+        samples = []
+        for example in (1, 2, 3):
+            for level in simulation.builtin_censoring_levels(example):
+                scenario = cw.builtin_scenario(example, level)
+                for seed in range(4):
+                    for n in (50, 1000):
+                        rng = np.random.default_rng(seed)
+                        x = rng.standard_normal((n, scenario.model.p))
+                        times, _ = cw.sample_events(scenario.truth, scenario.model, x, rng)
+                        samples.append((times, {level, 0.05, 0.5, 0.95, 1e-9} - {0.0}))
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            times = rng.exponential(10.0 ** rng.uniform(-6.0, 6.0), size=int(rng.integers(1, 300)))
+            samples.append((times, {float(rng.uniform(0.001, 0.99))}))
+        # At times near 1e-300 an extrapolation denominator underflows to 0.
+        for scale in (1e-300, 1e300):
+            samples.append((rng.exponential(scale, size=100), {1e-9, 0.3, 0.9}))
+        for times, targets in samples:
+            for target in sorted(targets):
+                assert cw.calibrate_censoring_rate(times, target) == reference(times, target)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: x**3 - 2.0, 0.0, 3.0),
+            (lambda x: math.tanh(x - 0.3) * 1e-300, -5.0, 5.0),
+            (lambda x: math.exp(x) - 1e5, -10.0, 20.0),
+            (lambda x: math.atan(x) - 1.5, 0.0, 1e20),
+            # f(lo) * f(hi) underflows to -0.0: the bracket is kept by sign
+            (lambda x: x - 1e-320, -1e-310, 1e-310),
+        ],
+    )
+    def test_brent_root_equals_scipy_brentq(self, f, lo, hi):
+        from scipy import optimize
+
+        for xtol, rtol in ((1e-12, 8.9e-16), (1e-300, 8.9e-16)):
+            assert simulation._brent_root(f, lo, hi, xtol, rtol) == optimize.brentq(
+                f, lo, hi, xtol=xtol, rtol=rtol
+            )
+
+    def test_root_search_past_its_iteration_cap_raises_config_error(self, monkeypatch):
+        times = cw.generate(cw.builtin_scenario(2, 0.0, seed=3)).true_event_times
+        monkeypatch.setattr(simulation, "_BRENT_MAXITER", 3)
+        with pytest.raises(cw.ConfigError, match="did not converge in 3 iterations"):
             cw.calibrate_censoring_rate(times, 0.2)
 
     def test_example_two_censored_counts_near_benchmark(self):
