@@ -4,9 +4,10 @@ The EM algorithm alternates between an E-step that computes each subject's
 winning probabilities at its observed time and an M-step that maximizes the
 expected complete log-likelihood group by group.  Each group update
 maximizes over (alpha, beta) at fixed sigma by proximal Newton steps, whose
-lasso model is solved exactly on its active set, so lasso zeros are exact,
-and then over sigma at fixed (alpha, beta) by safeguarded Newton on
-1/sigma.  The fitting convention throughout is to maximize
+lasso model is solved exactly on the pattern of zeros and signs it picks,
+so lasso zeros are exact, and then over sigma at fixed (alpha, beta) by
+safeguarded Newton on 1/sigma.  The fitting convention throughout is to
+maximize
 
     Q_l(theta) - lambda1 * exp(-alpha_l) - lambda2 * ||beta_l||_1
 
@@ -19,10 +20,11 @@ and the score and closed-form observed information (Louis 1982) follow on
 first use.  ``_run_em`` is the one loop that moves from point to point, and
 each of its iterations is either an EM map or a Newton step.  A map takes
 theta to the M-step's theta at the winning probabilities of the current
-point.  Once a map moves theta by less than ``_NEWTON_START``, Newton steps
-on the penalized observed log-likelihood take over on the active set (every
-alpha, every sigma inside its bounds, every nonzero beta); a step that fails
-a safeguard hands the fit back to EM.  The same information gives the
+point.  Once a map moves theta by less than ``_NEWTON_START``, proximal
+Newton steps on the penalized observed log-likelihood take over, from the
+same solver as the M-step (``_prox_newton_step``) on all of theta with
+sigma boxed, so they may change the zero set; a step that fails a
+safeguard hands the fit back to EM.  The same information gives the
 standard errors.
 """
 
@@ -96,7 +98,6 @@ _SIGMA_TOL = 1e-12  # relative Newton step on 1/sigma that ends the search
 _SIGMA_MAX = 10.0  # upper bound of sigma; sigma_floor is the lower
 _JITTER_SCALE = 0.1  # noise scale of the alpha/beta jitter of extra starts
 _NEWTON_START = 0.1  # an EM map that moves theta less than this starts Newton steps
-_NEWTON_RETRY = 10  # EM maps before Newton is tried again on an unchanged zero set
 _INFO_ROWS = 4096  # rows per block of the observed information's reductions
 
 
@@ -147,12 +148,13 @@ class FitResult:
     ``n_iters`` counts EM maps and Newton steps; the traces hold the start
     and then one entry per map output or Newton step.  ``converged`` means
     the last map or Newton step moved theta by less than ``epsilon`` and
-    the final penalized objective is finite; after
-    a Newton step it also needs the KKT conditions of the coordinates held
-    fixed.  ``kkt_residual`` is the largest violation of the penalized
-    objective's KKT conditions at ``theta_hat``: the absolute gradient on the
-    active set, the excess of ``|score|`` over ``lambda2`` at a zero beta,
-    and an inward gradient at a sigma bound.
+    the final penalized objective is finite; such a Newton step is the exact
+    minimizer of its model over the zeros and bounds, so it needs no further
+    test.  ``kkt_residual`` is the largest violation of the penalized
+    objective's KKT conditions at ``theta_hat``: the absolute gradient at
+    every alpha, nonzero beta and sigma inside its bounds, the excess of
+    ``|score|`` over ``lambda2`` at a zero beta, and an inward gradient at a
+    sigma bound.
     """
 
     theta_hat: Theta
@@ -207,6 +209,11 @@ class _Workspace:
         self.sigma_at = ends - 1
         self.is_beta = np.ones(ends[-1], dtype=bool)
         self.is_beta[self.alpha_at] = self.is_beta[self.sigma_at] = False
+        # The M-step's (alpha, beta) models: the l1 mask and no bounds.
+        self.location_box = [
+            (np.arange(k + 1) > 0, np.full(k + 1, -math.inf), np.full(k + 1, math.inf))
+            for k in (g.n_covariates for g in spec.groups)
+        ]
 
 
 class _Point:
@@ -347,8 +354,8 @@ class QGroupGradients:
 
     ``beta`` uses the sign subgradient of the L1 term (zero at exact zeros);
     the M-step's exact zeros come instead from the proximal Newton step,
-    which solves its lasso model exactly on the active set
-    (:func:`_newton_step`).  ``sigma_clipped`` flags that sigma was below
+    which solves its lasso model exactly (:func:`_prox_newton_step`).
+    ``sigma_clipped`` flags that sigma was below
     the floor and the gradient was evaluated at the floor.
     """
 
@@ -488,87 +495,88 @@ def _curvature(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float)
     return curv
 
 
-def _active_set_step(curv, grad, beta, lambda2, signs):
-    """The lasso model's minimizer of :func:`_newton_step` on a guessed active
-    set, or None when the guess fails the model's KKT conditions.
+def _prox_newton_step(curv, grad, x, l1, lambda2, lower, upper) -> np.ndarray:
+    """Proximal Newton step from ``x`` (Lee, Sun & Saunders 2014): the ``s``
+    that minimizes
 
-    ``signs`` guesses the sign of each new coefficient: those guessed 0 go to
-    exactly zero, the others must keep their sign; the intercept is free.
+        -grad . s + s . curv s / 2 + lambda2 sum_{j in l1} |x_j + s_j|
+
+    subject to ``lower <= x + s <= upper``, the local model of minus a
+    penalized objective with ascent gradient ``grad`` and negated Hessian
+    ``curv``.  The model is solved exactly on the pattern of ``x`` first:
+    l1 zeros held at 0, the other signs kept, coordinates on a bound held
+    there.  When that fails the model's KKT conditions, cyclic coordinate
+    descent (soft-thresholding the l1 coordinates, clipping the bounded
+    ones; Friedman, Hastie & Tibshirani 2010) finds the pattern, and the
+    model is solved exactly again there; coordinates without positive
+    curvature stay put in the descent.  At unit length a zeroed coordinate
+    becomes exactly 0.  Far from the data the arithmetic may overflow;
+    callers reject a step that is not finite.
     """
-    free = np.concatenate([[True], signs != 0.0])
-    step = np.zeros(grad.shape[0])
-    step[~free] = -beta[~free[1:]]
-    rhs = grad[free] - lambda2 * np.concatenate([[0.0], signs])[free]
-    rhs -= curv[np.ix_(free, ~free)] @ step[~free]
-    try:
-        step[free] = np.linalg.solve(curv[np.ix_(free, free)], rhs)
-    except np.linalg.LinAlgError:
+    lasso = lambda2 > 0.0
+    room_lo, room_hi = lower - x, upper - x
+
+    def pattern_step(s):
+        """The model's minimizer with the zeros, signs and bounds of ``x + s``
+        held, or None when it fails the model's KKT conditions."""
+        signs = np.where(l1, np.sign(x + s), 0.0) if lasso else np.zeros(x.shape[0])
+        zero = l1 & (signs == 0.0) & lasso
+        low, high = s <= room_lo, s >= room_hi
+        held = zero | low | high
+        pinned, free = held.any(), ~held
+        step = np.where(low, room_lo, np.where(high, room_hi, -x))
+        rhs = grad[free] - lambda2 * signs[free]
+        if pinned:
+            rhs -= curv[free][:, held] @ step[held]
+        try:
+            step[free] = np.linalg.solve(curv[free][:, free], rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.all(np.isfinite(step)) and np.all((step >= room_lo) & (step <= room_hi))):
+            return None
+        if not (lasso or pinned):
+            return step
+        # grad - curv @ step is minus the model's smooth gradient at x + step.
+        resid = grad - curv @ step
+        kept = free & l1
+        if (
+            (not lasso or np.all(np.sign(x[kept] + step[kept]) == signs[kept]))
+            and np.all(np.abs(resid[zero]) <= lambda2 * (1.0 + 1e-9))
+            and np.all(resid[low] <= 0.0)
+            and np.all(resid[high] >= 0.0)
+        ):
+            return step
         return None
-    if not np.all(np.isfinite(step)):
-        return None
-    if lambda2 == 0.0:
-        return step
-    kept = free[1:]
-    # grad - curv @ step is minus the model's smooth gradient at the new point.
-    zero_slack = np.abs(grad - curv @ step)[1:][~kept]
-    if np.all(np.sign(beta[kept] + step[1:][kept]) == signs[kept]) and np.all(
-        zero_slack <= lambda2 * (1.0 + 1e-9)
-    ):
-        return step
-    return None
-
-
-def _coordinate_descent_step(curv, grad, beta, lambda2):
-    """The lasso model's minimizer of :func:`_newton_step` by cyclic
-    coordinate descent; coordinates without positive curvature stay put."""
-    step = np.zeros(grad.shape[0])
-    resid = grad.copy()  # grad - curv @ step
-    for _ in range(_CD_SWEEPS):
-        largest = 0.0
-        for j in range(step.shape[0]):
-            a_jj = curv[j, j]
-            if not (a_jj > 0.0 and math.isfinite(a_jj)):
-                continue
-            target = resid[j] + a_jj * step[j]
-            if j == 0:
-                new = target / a_jj
-            else:
-                b = beta[j - 1]
-                z = b * a_jj + target
-                z = math.copysign(max(abs(z) - lambda2, 0.0), z) / a_jj
-                new = -b if z == 0.0 else z - b
-            change = new - step[j]
-            if change:
-                resid -= curv[:, j] * change
-                step[j] = new
-                largest = max(largest, abs(change))
-        if largest <= 1e-15 * (1.0 + float(np.max(np.abs(step)))):
-            break
-    return step
-
-
-def _newton_step(curv: np.ndarray, grad: np.ndarray, beta: np.ndarray, lambda2: float):
-    """Proximal Newton step in (alpha, beta): the minimizer over ``step`` of
-
-        -grad . step + step . curv step / 2 + lambda2 ||beta + step[1:]||_1,
-
-    the local model of minus the penalized group objective (index 0 is the
-    unpenalized intercept).  The active set of the current coefficients is
-    tried first; when it fails the model's KKT conditions, coordinate descent
-    finds the active set and it is solved again there exactly.  A coefficient
-    the step zeroes becomes exactly 0 at unit step length.  Far from the
-    data the arithmetic may overflow; the line search rejects such a step.
-    """
-
-    def support(coef):
-        return np.sign(coef) if lambda2 > 0.0 else np.ones(coef.shape[0])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _active_set_step(curv, grad, beta, lambda2, support(beta))
+        step = pattern_step(np.zeros(x.shape[0]))
         if step is not None:
             return step
-        step = _coordinate_descent_step(curv, grad, beta, lambda2)
-        polished = _active_set_step(curv, grad, beta, lambda2, support(beta + step[1:]))
+        step = np.zeros(x.shape[0])
+        resid = grad.copy()  # grad - curv @ step
+        is_l1, lows, highs = l1.tolist(), room_lo.tolist(), room_hi.tolist()
+        for _ in range(_CD_SWEEPS):
+            largest = 0.0
+            for j in range(step.shape[0]):
+                a_jj = curv[j, j]
+                if not (a_jj > 0.0 and math.isfinite(a_jj)):
+                    continue
+                target = resid[j] + a_jj * step[j]
+                if is_l1[j]:
+                    b = x[j]
+                    z = b * a_jj + target
+                    z = math.copysign(max(abs(z) - lambda2, 0.0), z) / a_jj
+                    new = -b if z == 0.0 else z - b
+                else:
+                    new = min(max(target / a_jj, lows[j]), highs[j])
+                change = new - step[j]
+                if change:
+                    resid -= curv[:, j] * change
+                    step[j] = new
+                    largest = max(largest, abs(change))
+            if largest <= 1e-15 * (1.0 + float(np.max(np.abs(step)))):
+                break
+        polished = pattern_step(step)
     return step if polished is None else polished
 
 
@@ -659,16 +667,17 @@ def _update_group(
 ) -> tuple[GroupParams, bool]:
     """One M-step for a single group, from ``params`` with its sigma clamped
     into ``[sigma_floor, _SIGMA_MAX]``: proximal Newton on (alpha, beta) at
-    that sigma (:func:`_newton_step`), each step halved until the penalized
-    group objective does not decrease, then the maximizer over sigma within
-    the same bounds at the new (alpha, beta) (:func:`_sigma_newton`).
+    that sigma (:func:`_prox_newton_step`), each step halved until the
+    penalized group objective does not decrease, then the maximizer over
+    sigma within the same bounds at the new (alpha, beta)
+    (:func:`_sigma_newton`).
     While ``lambda1 * exp(-alpha)`` overflows, the step is +1 in alpha.
     Never decreases the penalized group objective.
     Returns the new parameters and whether the group stalled: a gradient
     was not finite or no halving was accepted; (alpha, beta) then stay at
     the last accepted step, and sigma is still re-maximized.
     """
-    x = work.x_groups[l]
+    x, (l1, lower, upper) = work.x_groups[l], work.location_box[l]
     alpha, beta, sigma = params.alpha, params.beta, min(max(params.sigma, sigma_floor), _SIGMA_MAX)
 
     def objective(alpha: float, beta: np.ndarray):
@@ -692,7 +701,8 @@ def _update_group(
             if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
                 stalled = True
                 break
-            step = _newton_step(curv, grad, beta, penalty.lambda2)
+            coef = np.concatenate([[alpha], beta])
+            step = _prox_newton_step(curv, grad, coef, l1, penalty.lambda2, lower, upper)
             size = float(np.max(np.abs(step)))
             if not math.isfinite(size):
                 stalled = True
@@ -810,91 +820,72 @@ def _norm(change: np.ndarray) -> float:
     return top * math.sqrt(float(np.sum((size / top) ** 2)))
 
 
-def _newton_system(point: _Point, penalty: PenaltyConfig, sigma_floor: float):
-    """Ascent gradient and negated Hessian of the penalized observed
-    objective at ``point``, its active set, and the KKT residual per
-    coordinate.
-
-    The gradient is the score plus ``lambda1 exp(-alpha)`` on the alphas and
-    minus ``lambda2 sign(beta)`` on the betas; the negated Hessian is the
-    information plus ``lambda1 exp(-alpha)`` on the alpha diagonal.  The
-    active set is every alpha, every sigma strictly inside (sigma_floor,
-    _SIGMA_MAX) and every nonzero beta.  The residual is the absolute
-    gradient on the active set, the excess of ``|score|`` over lambda2 at a
-    zero beta, and the inward gradient at a sigma on a bound; it is not
-    finite when the score is not.
+def _newton_system(point: _Point, penalty: PenaltyConfig):
+    """Ascent gradient and negated Hessian of the smooth part of the
+    penalized observed objective at ``point``: the score plus ``lambda1
+    exp(-alpha)`` on the alphas, and the information plus ``lambda1
+    exp(-alpha)`` on the alpha diagonal.  The lasso term is left to the
+    proximal Newton model and the KKT residual, which take it exactly.
     """
     score, info = point.derivatives
-    x = point.theta.flatten()
-    alphas, sigmas, betas = point.work.alpha_at, point.work.sigma_at, point.work.is_beta
-    pull = np.array([_intercept_penalty(alpha, penalty.lambda1) for alpha in x[alphas]])
+    alphas = point.work.alpha_at
+    pull = np.array([_intercept_penalty(a, penalty.lambda1) for a in point.theta.flatten()[alphas]])
     grad, neg_hess = score.copy(), info.copy()
     grad[alphas] += pull
     neg_hess[alphas, alphas] += pull
-    grad[betas] -= penalty.lambda2 * np.sign(x[betas])
+    return grad, neg_hess
 
-    sigma = x[sigmas]
-    active = np.ones(x.shape[0], dtype=bool)
-    active[betas] = x[betas] != 0.0
-    active[sigmas] = (sigma > sigma_floor) & (sigma < _SIGMA_MAX)
+
+def _kkt_residual(point: _Point, penalty: PenaltyConfig, sigma_floor: float) -> float:
+    """The largest violation of the penalized objective's KKT conditions at
+    ``point``: the absolute gradient at every alpha, every nonzero beta and
+    every sigma inside (sigma_floor, _SIGMA_MAX), the excess of ``|score|``
+    over lambda2 at a zero beta, and the inward gradient at a sigma on a
+    bound; not finite when the score is not.
+    """
+    grad, _ = _newton_system(point, penalty)
+    work, x = point.work, point.theta.flatten()
+    betas, sigmas = work.is_beta, work.sigma_at
+    grad[betas] -= penalty.lambda2 * np.sign(x[betas])
     resid = np.abs(grad)
-    zero = betas & ~active
+    zero = betas & (x == 0.0)
     resid[zero] = np.maximum(resid[zero] - penalty.lambda2, 0.0)
+    sigma = x[sigmas]
     low, high = sigmas[sigma <= sigma_floor], sigmas[sigma >= _SIGMA_MAX]
     resid[low] = np.maximum(grad[low], 0.0)
     resid[high] = np.maximum(-grad[high], 0.0)
-    return grad, neg_hess, active, resid
-
-
-def _fixed_at_kkt(point: _Point, penalty: PenaltyConfig, sigma_floor: float) -> bool:
-    """Whether the coordinates held fixed at ``point`` (zero betas, sigmas on
-    a bound) meet their KKT conditions."""
-    _, _, active, resid = _newton_system(point, penalty, sigma_floor)
-    return bool(np.all(resid[~active] == 0.0))
-
-
-def _active_newton_step(grad, neg_hess, active) -> np.ndarray | None:
-    """The Newton step on the active set, zero elsewhere; None unless the
-    active block of ``neg_hess`` has a Cholesky factor and the step is
-    finite."""
-    block = neg_hess[np.ix_(active, active)]
-    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(grad[active]))):
-        return None
-    try:
-        np.linalg.cholesky(block)
-        solved = np.linalg.solve(block, grad[active])
-    except np.linalg.LinAlgError:
-        return None
-    step = np.zeros(grad.shape[0])
-    step[active] = solved
-    return step if np.all(np.isfinite(step)) else None
+    return float(np.max(resid))
 
 
 def _newton_point(point: _Point, penalty: PenaltyConfig, sigma_floor: float):
-    """One Newton step on the penalized observed objective from ``point``:
-    ``(step, new point)``, or None when a safeguard fails.
+    """One proximal Newton step on the penalized observed objective from
+    ``point``: ``(step, new point)``, or None when a safeguard fails.
 
-    The coordinates held fixed must meet their KKT conditions at ``point``.
-    The step is taken only when the active block of the negated Hessian has
-    a Cholesky factor, the new point is finite, no beta changes sign (when
-    lambda2 > 0), every active sigma stays within its bounds, and the
-    penalized objective does not decrease.
+    The step is :func:`_prox_newton_step` on all of theta, with the betas
+    under the lasso and each sigma boxed in ``[sigma_floor, _SIGMA_MAX]``,
+    so it may zero or revive a beta and move a sigma onto or off a bound.
+    It is refused only when the negated Hessian's block on the coordinates
+    free at ``point`` (every alpha, every sigma inside its bounds, and every
+    beta, or only the nonzero ones when lambda2 > 0) has no Cholesky factor,
+    when the new point is not finite, or when the penalized objective
+    decreases.
     """
-    grad, neg_hess, active, resid = _newton_system(point, penalty, sigma_floor)
-    if not np.all(resid[~active] == 0.0):
-        return None
-    step = _active_newton_step(grad, neg_hess, active)
-    if step is None:
-        return None
     work, x = point.work, point.theta.flatten()
-    new = x + step
-    betas, sigma = work.is_beta, new[work.sigma_at]
-    in_bounds = (sigma >= sigma_floor) & (sigma <= _SIGMA_MAX)
-    if not (
-        np.all(np.isfinite(new))
-        and (penalty.lambda2 == 0.0 or np.array_equal(np.sign(new[betas]), np.sign(x[betas])))
-        and np.all(in_bounds | ~active[work.sigma_at])
-    ):
+    grad, neg_hess = _newton_system(point, penalty)
+    lower, upper = np.full(x.shape[0], -math.inf), np.full(x.shape[0], math.inf)
+    lower[work.sigma_at], upper[work.sigma_at] = sigma_floor, _SIGMA_MAX
+    free = (x > lower) & (x < upper) & ~(work.is_beta & (x == 0.0) & (penalty.lambda2 > 0.0))
+    block = neg_hess[np.ix_(free, free)]
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(block))):
+        return None
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return None
+    step = _prox_newton_step(neg_hess, grad, x, work.is_beta, penalty.lambda2, lower, upper)
+    # x + step lands on a bound it is held at only to rounding.
+    new = np.minimum(np.maximum(x + step, lower), upper)
+    if not np.all(np.isfinite(new)):
         return None
     candidate = _Point(work, Theta.from_flat(new, work.spec), penalty)
     if not (math.isfinite(candidate.penalized) and _no_worse(candidate.penalized, point.penalized)):
@@ -912,12 +903,12 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
     (:func:`_em_map` at the point's winning probabilities) or one Newton
     step (:func:`_newton_point`).  A map that moves theta by less than
     ``_NEWTON_START`` hands over to Newton steps, which go on until one fails
-    a safeguard; EM maps then resume, and Newton is tried again once the set
-    of zero betas changes or ``_NEWTON_RETRY`` maps have passed.  A map that
-    moves theta by less than ``epsilon`` converges, and so does a Newton step
-    if the fixed coordinates then meet their KKT conditions; that test comes
-    before the budget of ``max_em_iters`` iterations.  Lasso zeros stay
-    exact and sigma stays within its bounds.
+    a safeguard; an EM map then follows, and Newton steps again if it too
+    moved theta by less than ``_NEWTON_START``.  A map or a Newton step that
+    moves theta by less than ``epsilon`` converges: such a Newton step is
+    already the exact minimizer of its model over the zeros and bounds.
+    That test comes before the budget of ``max_em_iters`` iterations.  Lasso
+    zeros stay exact and sigma stays within its bounds.
     """
     # The evaluation of each iteration's output point gives its trace entry
     # and the next E-step.
@@ -929,14 +920,12 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
     loglik_trace, penalized_trace = [point.loglik], [point.penalized]
     warnings: list[str] = []
     converged = newton = False
-    retry_zeros, maps_since_newton = None, 0
 
     while len(loglik_trace) <= config.max_em_iters:
         taken = _newton_point(point, penalty, config.sigma_floor) if newton else None
         if taken is not None:
             step, point = taken
             moved = _norm(step)
-            converged = moved < config.epsilon and _fixed_at_kkt(point, penalty, config.sigma_floor)
         else:
             m = len(loglik_trace) - 1
             theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
@@ -948,20 +937,13 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
             new = _Point(work, theta, penalty)
             moved = _norm(new.theta.flatten() - point.theta.flatten())
             point = new
-            maps_since_newton += 1
-            converged = moved < config.epsilon
-            zeros = point.theta.flatten()[work.is_beta] == 0.0
-            newton = moved < _NEWTON_START and (
-                maps_since_newton >= _NEWTON_RETRY or not np.array_equal(zeros, retry_zeros)
-            )
-            if newton:
-                retry_zeros, maps_since_newton = zeros, 0
+            newton = moved < _NEWTON_START
+        converged = moved < config.epsilon
         loglik_trace.append(point.loglik)
         penalized_trace.append(point.penalized)
         if converged:
             break
 
-    resid = _newton_system(point, penalty, config.sigma_floor)[3]
     result = FitResult(
         theta_hat=point.theta,
         std_errors=None,
@@ -972,7 +954,7 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         converged=converged and math.isfinite(penalized_trace[-1]),
         n_iters=len(loglik_trace) - 1,
         warnings=tuple(warnings),
-        kkt_residual=float(np.max(resid)),
+        kkt_residual=_kkt_residual(point, penalty, config.sigma_floor),
     )
     return result, point.derivatives[1]
 

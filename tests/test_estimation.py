@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -402,6 +403,85 @@ class TestMStepBlocksAreExact:
                     continue
                 grad = cw.q_gradients(l, updated, spec, data, eta, penalty)
                 assert abs(grad.sigma) <= 1e-9 * data.n
+
+
+def model_value(curv, grad, x, l1, lambda2, s):
+    return float(-grad @ s + 0.5 * s @ curv @ s + lambda2 * np.sum(np.abs(x + s)[l1]))
+
+
+def pattern_oracle(curv, grad, x, l1, lambda2, lower, upper):
+    """Independent oracle for the proximal Newton model: every zero/sign
+    pattern of the l1 coordinates and lower/upper/inside pattern of the
+    boxed ones is solved exactly; the feasible solve of least model value
+    wins, since a convex model attains its minimum on one of these faces."""
+    d = x.shape[0]
+    boxed = np.isfinite(lower) | np.isfinite(upper)
+    choices = [
+        ("zero", 1.0, -1.0) if l1[j] else ("lower", "upper", "inside") if boxed[j] else ("inside",)
+        for j in range(d)
+    ]
+    best, best_value = None, math.inf
+    for pattern in itertools.product(*choices):
+        held, signs, s = np.zeros(d, dtype=bool), np.zeros(d), np.zeros(d)
+        for j, kind in enumerate(pattern):
+            if kind in ("zero", "lower", "upper"):
+                held[j] = True
+                s[j] = {"zero": 0.0, "lower": lower[j], "upper": upper[j]}[kind] - x[j]
+            elif kind != "inside":
+                signs[j] = kind
+        free = ~held
+        rhs = grad[free] - lambda2 * signs[free] - curv[np.ix_(free, held)] @ s[held]
+        s[free] = np.linalg.solve(curv[np.ix_(free, free)], rhs)
+        y = x + s
+        if not (
+            np.all(np.sign(y)[signs != 0.0] == signs[signs != 0.0])
+            and np.all(y >= lower - 1e-12)
+            and np.all(y <= upper + 1e-12)
+        ):
+            continue
+        value = model_value(curv, grad, x, l1, lambda2, s)
+        if value < best_value:
+            best, best_value = s, value
+    return best
+
+
+class TestProxNewtonStep:
+    def test_matches_the_exact_pattern_solve(self):
+        # Strictly convex models with d <= 6 and a random mix of l1, boxed
+        # and free coordinates, some starting at 0 or on a bound.
+        rng = np.random.default_rng(2014)
+        descents = 0
+        for _ in range(150):
+            d = int(rng.integers(1, 7))
+            kind = rng.integers(0, 3, size=d)  # 0: l1, 1: boxed, 2: free
+            a = rng.standard_normal((d, d))
+            curv = a @ a.T + 0.1 * np.eye(d)
+            grad = rng.normal(0.0, 2.0, size=d)
+            x = rng.standard_normal(d)
+            x[(kind == 0) & (rng.random(d) < 0.4)] = 0.0
+            lower, upper = np.full(d, -math.inf), np.full(d, math.inf)
+            box = kind == 1
+            lower[box] = x[box] - rng.uniform(0.0, 1.0, size=d)[box]
+            upper[box] = x[box] + rng.uniform(0.0, 1.0, size=d)[box]
+            where = rng.integers(0, 3, size=d)
+            x[box & (where == 0)] = lower[box & (where == 0)]
+            x[box & (where == 1)] = upper[box & (where == 1)]
+            l1 = kind == 0
+            lambda2 = float(rng.choice([0.0, 0.5, 2.0]))
+            step = estimation._prox_newton_step(curv, grad, x, l1, lambda2, lower, upper)
+            reference = pattern_oracle(curv, grad, x, l1, lambda2, lower, upper)
+            assert np.max(np.abs(step - reference)) <= 1e-9 * (1.0 + np.max(np.abs(reference)))
+            y = x + step
+            assert np.all(y >= lower - 1e-12) and np.all(y <= upper + 1e-12)
+            if lambda2 > 0.0:
+                assert np.array_equal(y[l1] == 0.0, (x + reference)[l1] == 0.0)
+            # The pattern of x itself fails in some cases, so coordinate
+            # descent finds the pattern there.
+            def held(v):
+                return (l1 & (v == 0.0) & (lambda2 > 0.0)) | (v <= lower) | (v >= upper)
+
+            descents += not np.array_equal(held(x), held(y))
+        assert descents > 20
 
 
 class TestFitEM:
@@ -856,6 +936,77 @@ class TestNewtonFinish:
         reduced = cw.fit_em(cw.ModelSpec([cw.GroupSpec([0])], p=2), data)
         kept = fit.theta_hat.flatten()[[0, 1, 3]]
         assert np.max(np.abs(kept - reduced.theta_hat.flatten())) < 1e-5
+
+    @pytest.mark.parametrize(
+        "censoring, seed",
+        [
+            (0.3, 1),
+            (0.3, 5),
+            (0.1, 9),
+            (0.1, cw.replication_seed(42, 5)),
+            (0.1, cw.replication_seed(42, 7)),
+        ],
+        ids=["ex3-30-s1", "ex3-30-s5", "ex3-10-s9", "criterion2-r5", "criterion2-r7"],
+    )
+    def test_zero_set_and_sign_changes_stay_in_the_newton_run(self, monkeypatch, censoring, seed):
+        # Example 3 at lambda = (2, 1); the last two are replicas of
+        # acceptance criterion 2.  Newton steps were once refused here for a
+        # sign change or an off-KKT zero beta, which handed each fit back to
+        # EM before Newton resumed; now one run of Newton steps finishes it.
+        phases = spy_newton(monkeypatch)
+        scen = cw.builtin_scenario(3, censoring, seed=seed)
+        fit = cw.fit_em(scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, 1.0))
+        assert fit.converged
+        assert len(phases) == 1 and phases[0][0] > 0 and phases[0][1]
+
+
+def alpha_mask(spec):
+    return np.concatenate([[True] + [False] * (g.n_covariates + 1) for g in spec.groups])
+
+
+class TestMetamorphicRelations:
+    """Exact symmetries of the AFT model (Kalbfleisch & Prentice 2002, ch. 2)
+    on examples 1-3 at seed 4 and 10% censoring: the fit must move with the
+    data as the model does, to rounding."""
+
+    @staticmethod
+    def case(example):
+        scen = cw.builtin_scenario(example, 0.1, seed=4)
+        return scen.model, cw.generate(scen).data
+
+    @pytest.mark.parametrize("lambda2", [0.0, 1.0])
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_time_scale_moves_only_the_alphas(self, example, lambda2):
+        # T -> e^k T is mu -> mu + k: each alpha moves by k and nothing else
+        # does, and each event's log density drops by k.  The intercept
+        # penalty would change with alpha, so lambda1 = 0.
+        spec, data = self.case(example)
+        penalty = cw.PenaltyConfig(0.0, lambda2)
+        base = cw.fit_em(spec, data, penalty)
+        shift = alpha_mask(spec).astype(float)
+        for k in (0.7, -2.5):
+            scaled = cw.Dataset(data.times * math.exp(k), data.status, data.covariates)
+            fit = cw.fit_em(spec, scaled, penalty)
+            flat, base_flat = fit.theta_hat.flatten(), base.theta_hat.flatten()
+            assert np.max(np.abs(flat - (base_flat + k * shift))) <= 1e-12
+            assert np.max(np.abs(fit.std_errors / base.std_errors - 1.0)) <= 1e-12
+            events = int(np.sum(data.status))
+            assert abs(fit.final_loglik - (base.final_loglik - k * events)) <= 1e-9
+            assert fit.n_iters == base.n_iters
+            assert np.array_equal(flat == 0.0, base_flat == 0.0)
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_row_order_does_not_matter(self, example):
+        spec, data = self.case(example)
+        penalty = cw.PenaltyConfig(2.0, 1.0)
+        perm = np.random.default_rng(4).permutation(data.n)
+        shuffled = cw.Dataset(data.times[perm], data.status[perm], data.covariates[perm])
+        base = cw.fit_em(spec, data, penalty)
+        fit = cw.fit_em(spec, shuffled, penalty)
+        flat, base_flat = fit.theta_hat.flatten(), base.theta_hat.flatten()
+        assert np.max(np.abs(flat - base_flat)) <= 1e-12
+        assert fit.n_iters == base.n_iters
+        assert np.array_equal(flat == 0.0, base_flat == 0.0)
 
 
 def central_difference_information(work, spec, x0):

@@ -346,19 +346,29 @@ class TestExpectedSurvivalTime:
         with pytest.raises(cw.ConfigError, match="cutoff \\* h\\(cutoff\\) > 1"):
             cw.expected_survival_time(theta, spec, [], cutoff=0.9)
 
-    def test_cutoff_whose_window_misses_the_mass_rejected(self):
-        # E[T] = 0.627 here, and the window [cutoff e^-40, cutoff] once
-        # returned an estimate of 0.0 at cutoff 1e300.  At 1e5 it still
-        # covers the mass.
+    def test_cutoff_far_above_the_mass_matches_the_automatic_one(self):
+        # E[T] = 0.627 here.  The window [cutoff e^-40, cutoff] once returned
+        # 0.0 at cutoff 1e300 and then was rejected there and at 1e30; at 1e5
+        # it was off by 1.3e-4 relative.
         spec = cw.ModelSpec([cw.GroupSpec([]), cw.GroupSpec([])], p=0)
         theta = cw.Theta([cw.GroupParams(0.0, [], 0.5), cw.GroupParams(0.0, [], 0.5)])
-        for cutoff in (1e300, 1e30):
-            with pytest.raises(cw.ConfigError, match="a \\* h\\(a\\) < 1 at a = cutoff \\* e\\^-40"):
-                cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
         auto = cw.expected_survival_time(theta, spec, [])
-        assert cw.expected_survival_time(theta, spec, [], cutoff=1e5).estimate == pytest.approx(
-            auto.estimate, rel=1e-3
-        )
+        for cutoff in (1e300, 1e30, 1e5):
+            result = cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+            assert result.estimate == pytest.approx(auto.estimate, rel=1e-12)
+
+    def test_user_cutoff_above_the_automatic_one_against_closed_form(self):
+        # Single groups with log H(cutoff) from 4 to 46: at 1e10 a cutoff once
+        # gave +2.1% on two sigma = 0.5 groups, and this grid reached 6e-2.
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        mu = 0.3
+        for sigma in (0.05, 0.2, 0.5, 1.0, 3.0, 13.0):
+            theta = cw.Theta([cw.GroupParams(mu, [], sigma)])
+            exact = math.exp(mu) * math.gamma(1.0 + sigma)
+            for log_h in (4, 6, 8, 10, 12, 16, 20, 30, 46):
+                cutoff = math.exp(mu + sigma * log_h)
+                result = cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+                assert result.estimate == pytest.approx(exact, rel=1e-12)
 
     def test_mills_sandwich_against_fine_trapezoid(self):
         rng = np.random.default_rng(15)
