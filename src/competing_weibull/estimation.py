@@ -2,12 +2,12 @@
 
 The EM algorithm alternates between an E-step that computes each subject's
 winning probabilities at its observed time and an M-step that maximizes the
-expected complete log-likelihood group by group.  Each group update
-maximizes over (alpha, beta) at fixed sigma by proximal Newton steps, whose
-lasso model is solved exactly on the pattern of zeros and signs it picks,
-so lasso zeros are exact, and then over sigma at fixed (alpha, beta) by
-safeguarded Newton on 1/sigma.  The fitting convention throughout is to
-maximize
+expected complete log-likelihood group by group.  Each group update runs
+one damped Newton ascent (``_ascend``) twice: over (alpha, beta) at fixed
+sigma by proximal Newton steps, whose lasso model is solved exactly on the
+pattern of zeros and signs it picks, so lasso zeros are exact, and then
+over u = 1/sigma at fixed (alpha, beta), where Q_l is concave.  The
+fitting convention throughout is to maximize
 
     Q_l(theta) - lambda1 * exp(-alpha_l) - lambda2 * ||beta_l||_1
 
@@ -89,12 +89,12 @@ class PenaltyConfig:
             raise SpecError("penalty weights must be finite and nonnegative")
 
 
-_NEWTON_ITERS = 40  # proximal Newton steps on (alpha, beta) per group update
+_NEWTON_ITERS = 40  # Newton steps per block of a group update
 _NEWTON_TOL = 1e-10  # a step below this, times 1 + |(alpha, beta)|, is not taken
-_MAX_BACKTRACKS = 40  # step halvings before a group update stalls
+_MAX_BACKTRACKS = 40  # step halvings before an ascent stalls
 _CD_SWEEPS = 1000  # coordinate-descent sweeps of the lasso model fallback
-_SIGMA_ITERS = 100  # Newton or bisection steps on 1/sigma per group update
-_SIGMA_TOL = 1e-12  # relative Newton step on 1/sigma that ends the search
+_SIGMA_TOL = 1e-12  # a step on 1/sigma below this, times 1 + 1/sigma, is not taken
+_NORMAL_MIN = 2.2250738585072014e-308  # smallest normal double
 _SIGMA_MAX = 10.0  # upper bound of sigma; sigma_floor is the lower
 _JITTER_SCALE = 0.1  # noise scale of the alpha/beta jitter of extra starts
 _NEWTON_START = 0.1  # an EM map that moves theta less than this starts Newton steps
@@ -355,14 +355,11 @@ class QGroupGradients:
     ``beta`` uses the sign subgradient of the L1 term (zero at exact zeros);
     the M-step's exact zeros come instead from the proximal Newton step,
     which solves its lasso model exactly (:func:`_prox_newton_step`).
-    ``sigma_clipped`` flags that sigma was below
-    the floor and the gradient was evaluated at the floor.
     """
 
     alpha: float
     beta: np.ndarray
     sigma: float
-    sigma_clipped: bool = False
 
 
 def _location_gradient(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float):
@@ -386,7 +383,6 @@ def q_gradients(
     data: Dataset,
     eta,
     penalty: PenaltyConfig,
-    sigma_floor: float = 0.0,
 ) -> QGroupGradients:
     """Analytic ascent gradient of the penalized group objective.
 
@@ -401,10 +397,6 @@ def q_gradients(
     work = _Workspace(spec, data)
     g = theta.groups[l]
     sigma = g.sigma
-    clipped = False
-    if sigma < sigma_floor:
-        sigma = sigma_floor
-        clipped = True
     _, terms = _q_group_values(work, l, g.alpha, g.beta, sigma, eta[:, l])
     mu, cumhaz, weight = terms
     g_alpha, g_beta = _location_gradient(work.x_groups[l], g.alpha, sigma, terms, penalty.lambda1)
@@ -415,7 +407,7 @@ def q_gradients(
             np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
             / np.float64(sigma) ** 2
         )
-    return QGroupGradients(g_alpha, g_beta, g_sigma, sigma_clipped=clipped)
+    return QGroupGradients(g_alpha, g_beta, g_sigma)
 
 
 def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, eta: np.ndarray):
@@ -580,81 +572,41 @@ def _prox_newton_step(curv, grad, x, l1, lambda2, lower, upper) -> np.ndarray:
     return step if polished is None else polished
 
 
-def _sigma_newton(
-    d: np.ndarray, weight: np.ndarray, sigma: float, sigma_floor: float
-) -> float:
-    """The sigma in ``[sigma_floor, _SIGMA_MAX]`` that maximizes Q_l at the
-    fixed ``d = log T - mu``, found from the current ``sigma`` within them.
+def _ascend(objective, newton_step, x, lower, upper, tol):
+    """Damped Newton ascent of ``objective`` from ``x`` within the box
+    ``[lower, upper]`` (Boyd & Vandenberghe 2004, section 9.5).
 
-    With ``u = 1/sigma`` and the constant dropped, the objective is ``q(u) =
-    u sum(weight d) + sum(weight) log u - sum exp(u d)`` on [lo, hi] = [1 /
-    _SIGMA_MAX, 1 / sigma_floor].
-
-    q is concave, so Newton steps run inside a bracket that each sign of
-    q'(u) shrinks.  A step that leaves the bracket goes to a bound not yet
-    evaluated, or else bisects the bracket geometrically, as does a step from
-    a derivative that is not finite (exp(u d) overflows only where q' < 0).
-    The maximizer is found when a Newton step is below ``_SIGMA_TOL``
-    relative, or at a bound whose derivative points outward; by concavity it
-    is then at least as good as the current sigma.  If the search fails, the
-    best u evaluated is returned.  Every sum is a numpy reduction.
+    ``objective(x)`` returns the value and the arrays that
+    ``newton_step(x, arrays)`` reuses; the step is an array, or None where
+    it cannot be taken.  Each step is halved until the objective does not
+    decrease (:func:`_no_worse`), and the new point is clipped into the box;
+    a full step aimed at a bound lands on it exactly.  The ascent ends at a
+    step below ``tol * (1 + |x|_1)`` or after ``_NEWTON_ITERS`` steps.
+    Returns the last accepted point, its arrays, and whether the ascent
+    stalled: a step was None or not finite, or no halving was accepted.
     """
-    s_weight = float(np.sum(weight))
-    s_weighted_d = float(np.sum(weight * d))
-    lo, hi = 1.0 / _SIGMA_MAX, 1.0 / sigma_floor
-
-    def derivatives(u: float):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cumhaz = np.exp(u * d)
-            d_cumhaz = d * cumhaz
-            return (
-                u * s_weighted_d + s_weight * math.log(u) - float(np.sum(cumhaz)),
-                s_weighted_d + s_weight / u - float(np.sum(d_cumhaz)),
-                -s_weight / u**2 - float(np.sum(d * d_cumhaz)),
-            )
-
-    u = u0 = 1.0 / sigma
-    best_u, best_q = u, -math.inf
-    lo_seen = hi_seen = False
-    for _ in range(_SIGMA_ITERS):
-        q, first, second = derivatives(u)
-        if q > best_q:
-            best_u, best_q = u, q
-        if math.isnan(first):
+    current, arrays = objective(x)
+    for _ in range(_NEWTON_ITERS):
+        step = newton_step(x, arrays)
+        size = math.nan if step is None else float(np.max(np.abs(step)))
+        if not math.isfinite(size):
+            return x, arrays, True
+        if size <= tol * (1.0 + float(np.sum(np.abs(x)))):
             break
-        finite = math.isfinite(first) and -math.inf < second < 0.0
-        target = u - first / second if finite else math.nan
-        if (
-            first == 0.0
-            or (first > 0.0 and u >= hi)
-            or (first < 0.0 and u <= lo)
-            or abs(target - u) <= _SIGMA_TOL * u
-        ):
-            best_u, best_q = u, q  # the maximizer, whatever rounding says
-            break
-        if first > 0.0:
-            lo, lo_seen = u, True
+        length = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            new = x + length * step
+            if length == 1.0:
+                new = np.where(step == lower - x, lower, np.where(step == upper - x, upper, new))
+            new = np.minimum(np.maximum(new, lower), upper)
+            value, new_arrays = objective(new)
+            if _no_worse(value, current):
+                break
+            length *= 0.5
         else:
-            hi, hi_seen = u, True
-        if not lo < target < hi:
-            if target <= lo and not lo_seen:
-                target = lo
-            elif target >= hi and not hi_seen:
-                target = hi
-            else:
-                target = math.sqrt(lo * hi)
-                if not lo < target < hi:
-                    break
-        u = target
-
-    if best_u == u0:
-        return sigma
-    # The bounds are returned exactly, not as the reciprocal of their reciprocal.
-    if best_u == 1.0 / sigma_floor:
-        return sigma_floor
-    if best_u == 1.0 / _SIGMA_MAX:
-        return _SIGMA_MAX
-    return 1.0 / best_u
+            return x, arrays, True
+        x, current, arrays = new, value, new_arrays
+    return x, arrays, False
 
 
 def _update_group(
@@ -666,76 +618,92 @@ def _update_group(
     sigma_floor: float,
 ) -> tuple[GroupParams, bool]:
     """One M-step for a single group, from ``params`` with its sigma clamped
-    into ``[sigma_floor, _SIGMA_MAX]``: proximal Newton on (alpha, beta) at
-    that sigma (:func:`_prox_newton_step`), each step halved until the
-    penalized group objective does not decrease, then the maximizer over
-    sigma within the same bounds at the new (alpha, beta)
-    (:func:`_sigma_newton`).
-    While ``lambda1 * exp(-alpha)`` overflows, the step is +1 in alpha.
-    Never decreases the penalized group objective.
-    Returns the new parameters and whether the group stalled: a gradient
-    was not finite or no halving was accepted; (alpha, beta) then stay at
-    the last accepted step, and sigma is still re-maximized.
+    into ``[sigma_floor, _SIGMA_MAX]``: one :func:`_ascend` of the penalized
+    group objective over (alpha, beta) at that sigma, by proximal Newton
+    steps (:func:`_prox_newton_step`), then one of Q_l over u = 1/sigma
+    within the same bounds at the new (alpha, beta).
+    While ``lambda1 * exp(-alpha)`` overflows, the (alpha, beta) step is +1
+    in alpha.  Never decreases the penalized group objective.
+    Returns the new parameters and whether the (alpha, beta) ascent stalled;
+    they then stay at its last accepted step, and sigma is still
+    re-maximized.
     """
     x, (l1, lower, upper) = work.x_groups[l], work.location_box[l]
-    alpha, beta, sigma = params.alpha, params.beta, min(max(params.sigma, sigma_floor), _SIGMA_MAX)
+    sigma = min(max(params.sigma, sigma_floor), _SIGMA_MAX)
 
-    def objective(alpha: float, beta: np.ndarray):
+    def location_value(coef: np.ndarray):
+        alpha, beta = float(coef[0]), coef[1:]
         q, terms = _q_group_values(work, l, alpha, beta, sigma, eta_l)
         return _penalized(q, alpha, beta, penalty), terms
 
-    # Each Newton step is taken where the objective was last evaluated, so it
-    # reuses that evaluation's arrays.
-    current, terms = objective(alpha, beta)
-    stalled = False
-    for _ in range(_NEWTON_ITERS):
+    def location_step(coef: np.ndarray, terms):
+        alpha = float(coef[0])
         if math.isinf(_intercept_penalty(alpha, penalty.lambda1)):
             # exp(-alpha) overflows, so the penalty dominates the model: take
             # the limit of its own Newton step, which is +1 in alpha.
-            step = np.zeros(x.shape[1] + 1)
+            step = np.zeros(coef.shape[0])
             step[0] = 1.0
-        else:
-            g_alpha, g_beta = _location_gradient(x, alpha, sigma, terms, penalty.lambda1)
-            grad = np.concatenate([[g_alpha], g_beta])
-            curv = _curvature(x, alpha, sigma, terms, penalty.lambda1)
-            if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
-                stalled = True
-                break
-            coef = np.concatenate([[alpha], beta])
-            step = _prox_newton_step(curv, grad, coef, l1, penalty.lambda2, lower, upper)
-            size = float(np.max(np.abs(step)))
-            if not math.isfinite(size):
-                stalled = True
-                break
-            if size <= _NEWTON_TOL * (1.0 + abs(alpha) + float(np.sum(np.abs(beta)))):
-                break
-        length = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            # At unit length the new coefficients are the model's minimizer,
-            # exact zeros included.
-            alpha_new = alpha + length * step[0]
-            beta_new = beta + length * step[1:]
-            value, new_terms = objective(alpha_new, beta_new)
-            if _no_worse(value, current):
-                break
-            length *= 0.5
-        else:
-            stalled = True
-            break
-        alpha, beta = alpha_new, beta_new
-        current, terms = value, new_terms
+            return step
+        g_alpha, g_beta = _location_gradient(x, alpha, sigma, terms, penalty.lambda1)
+        grad = np.concatenate([[g_alpha], g_beta])
+        curv = _curvature(x, alpha, sigma, terms, penalty.lambda1)
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
+            return None
+        # At unit length the new coefficients are the model's minimizer,
+        # exact zeros included.
+        return _prox_newton_step(curv, grad, coef, l1, penalty.lambda2, lower, upper)
+
+    start = np.concatenate([[params.alpha], params.beta])
+    coef, (mu, _, weight), stalled = _ascend(
+        location_value, location_step, start, lower, upper, _NEWTON_TOL
+    )
 
     # The penalties do not involve sigma: maximize Q_l alone with mu fixed.
-    mu, _, weight = terms
-    sigma = _sigma_newton(work.log_t - mu, weight, sigma, sigma_floor)
-    return GroupParams(alpha, beta, sigma), stalled
+    # With d = log T - mu and the constant dropped, Q_l is the concave
+    # q(u) = u sum(weight d) + sum(weight) log u - sum exp(u d).
+    d = work.log_t - mu
+    s_weight, s_weighted_d = float(np.sum(weight)), float(np.sum(weight * d))
+    u_lo, u_hi = 1.0 / _SIGMA_MAX, 1.0 / sigma_floor
+
+    def sigma_value(point: np.ndarray):
+        u = float(point[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumhaz = np.exp(u * d)
+            d_cumhaz = d * cumhaz
+            value = u * s_weighted_d + s_weight * math.log(u) - float(np.sum(cumhaz))
+            first = s_weighted_d + s_weight / u - float(np.sum(d_cumhaz))
+            second = -s_weight / u**2 - float(np.sum(d * d_cumhaz))
+        return value, (first, second)
+
+    def sigma_step(point: np.ndarray, derivatives):
+        u, (first, second) = float(point[0]), derivatives
+        if not math.isfinite(first):
+            # exp(u d) overflows only where q'(u) < 0, and Newton has no step
+            # there: go halfway to the lower bound in log u.
+            target = math.sqrt(u_lo * u)
+        elif -second >= _NORMAL_MIN:
+            target = u + first / -second
+        else:
+            # A curvature below the smallest normal double means the weights
+            # and hazards have underflowed: q has no resolution, sigma stays.
+            return None
+        return np.array([min(max(target, u_lo), u_hi) - u])
+
+    u0 = 1.0 / sigma
+    (u,), _, _ = _ascend(
+        sigma_value, sigma_step, np.array([u0]), np.array([u_lo]), np.array([u_hi]), _SIGMA_TOL
+    )
+    # The bounds are returned exactly, not as the reciprocal of their reciprocal.
+    if u != u0:
+        sigma = sigma_floor if u == u_hi else _SIGMA_MAX if u == u_lo else 1.0 / u
+    return GroupParams(float(coef[0]), coef[1:], sigma), stalled
 
 
 def _em_map(
     work: _Workspace, theta: Theta, eta: np.ndarray, penalty: PenaltyConfig, sigma_floor: float
 ) -> tuple[Theta, list[int]]:
     """The M-step's theta from ``theta`` given eta, and the groups whose
-    line search stalled."""
+    (alpha, beta) ascent stalled."""
     updates = [
         _update_group(work, l, g, eta[:, l], penalty, sigma_floor)
         for l, g in enumerate(theta.groups)
@@ -754,7 +722,7 @@ def m_step(
     """One M-step: update every group independently given eta.
 
     Groups are separable, so updating them in any order yields the same
-    result.  A group whose (alpha, beta) line search stalls keeps the alpha
+    result.  A group whose (alpha, beta) ascent stalls keeps the alpha
     and beta of its last accepted step (its start if none was accepted), and
     its sigma is still re-maximized.
     """

@@ -239,15 +239,6 @@ class TestQGradients:
             worst = max(worst, rel)
         assert worst < 1e-5
 
-    def test_sigma_clipped_flag(self, exp_unit):
-        spec, _ = exp_unit
-        theta = cw.Theta([cw.GroupParams(0.0, [], 0.001)])
-        data = cw.Dataset([1.0], [1], np.zeros((1, 0)))
-        grad = cw.q_gradients(
-            0, theta, spec, data, np.ones((1, 1)), cw.PenaltyConfig(), sigma_floor=0.05
-        )
-        assert grad.sigma_clipped
-
     def test_huge_sigma_does_not_overflow(self):
         # sigma**2 of a Python float raised OverflowError at sigma = 1e308.
         scen = cw.builtin_scenario(1, 0.1, seed=3)
@@ -403,6 +394,107 @@ class TestMStepBlocksAreExact:
                     continue
                 grad = cw.q_gradients(l, updated, spec, data, eta, penalty)
                 assert abs(grad.sigma) <= 1e-9 * data.n
+
+    def test_sigma_block_matches_an_oracle_at_its_bounds(self):
+        # The cases the stationarity test skips: the optimum on the floor or
+        # at 10, a start on the floor where exp(u d) overflows, and a start
+        # already at the maximizer, which keeps sigma's bits.
+        for case, spec, data, theta, eta, config in sigma_bound_cases():
+            floor = config.sigma_floor
+            updated = cw.m_step(theta, spec, data, eta, cw.PenaltyConfig(2.0, 1.0), config)
+            sigmas = [g.sigma for g in updated.groups]
+            for l, sigma in enumerate(sigmas):
+                expected = sigma_oracle(spec, data, updated, eta, l, floor)
+                assert sigma == pytest.approx(expected, rel=1e-10)
+            if case == "floor":
+                assert floor in sigmas
+            elif case == "ceiling":
+                assert sigmas == [10.0]
+            elif case == "overflow":
+                g = theta.groups[0]
+                mu = g.alpha + data.covariates[:, 0] * g.beta[0]
+                log_hazard = (np.log(data.times) - mu) / floor
+                assert g.sigma == floor and np.max(log_hazard) > 710.0
+                assert floor < sigmas[0] < 10.0
+            else:
+                assert np.array_equal(updated.flatten(), theta.flatten())
+
+    def test_subnormal_group_keeps_its_sigma(self):
+        # Group 1's intercept of 735 puts its hazards and winning
+        # probabilities near 1e-318, where Q_l has no resolution: sigma stays.
+        spec, data, _ = stalled_group_case()
+        theta = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(735.0, [0.5], 1.0)])
+        eta = cw.e_step(theta, spec, data)
+        hazard = data.times * math.exp(-735.0) * np.exp(-0.5 * data.covariates[:, 1])
+        tiny = np.finfo(float).tiny
+        assert np.max(eta[:, 1]) < tiny and np.max(hazard) < tiny
+        for penalty in (cw.PenaltyConfig(), cw.PenaltyConfig(2.0, 1.0)):
+            updated = cw.m_step(theta, spec, data, eta, penalty, cw.FitConfig())
+            assert updated.groups[1].sigma == 1.0
+
+
+def sigma_oracle(spec, data, theta, eta, l, floor):
+    """Independent oracle for the sigma block: the maximizer of Q_l over
+    sigma in [floor, 10] at group l's (alpha, beta), from brentq on dQ_l/du
+    with u = 1/sigma, or the bound where that derivative has one sign."""
+    g = theta.groups[l]
+    cols = list(spec.groups[l].covariate_indices)
+    d = np.log(data.times) - (g.alpha + data.covariates[:, cols] @ g.beta)
+    w = data.status * eta[:, l]
+
+    def slope(u):
+        with np.errstate(over="ignore"):
+            return float(np.sum(w * d) + np.sum(w) / u - np.sum(d * np.exp(u * d)))
+
+    lo, hi = 0.1, 1.0 / floor
+    if slope(hi) >= 0.0:
+        return floor
+    if slope(lo) <= 0.0:
+        return 10.0
+    return 1.0 / optimize.brentq(slope, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+def stalled_group_case():
+    """Two groups on 300 events, and a start whose group 0 sits on the
+    sigma floor so far below the data that its hazards overflow."""
+    rng = np.random.default_rng(1)
+    spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([1])], p=2)
+    truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(1.3, [0.5], 1.2)])
+    x = rng.standard_normal((300, 2))
+    times, _ = cw.sample_events(truth, spec, x, rng)
+    data = cw.Dataset(times, np.ones(300, dtype=int), x)
+    start = cw.Theta([cw.GroupParams(-8.0, [0.9], 0.01), cw.GroupParams(1.3, [0.5], 1.2)])
+    return spec, data, start
+
+
+def sigma_bound_cases():
+    """M-step inputs whose sigma block ends on a bound, starts on one with
+    overflowing hazards, or starts at its maximizer: (case, spec, data,
+    theta, eta, config), all at lambda = (2, 1)."""
+    scen = cw.builtin_scenario(1, 0.1, seed=3)
+    data = cw.generate(scen).data
+    penalty = cw.PenaltyConfig(2.0, 1.0)
+    # The fitted sigmas of this dataset press against a floor of 1.05.
+    config = cw.FitConfig(sigma_floor=1.05, max_em_iters=4, compute_std_errors=False)
+    theta = cw.fit_em(scen.model, data, penalty, config).theta_hat
+    yield "floor", scen.model, data, theta, cw.e_step(theta, scen.model, data), config
+    fit = cw.fit_em(scen.model, data, penalty, cw.FitConfig(compute_std_errors=False))
+    yield "maximizer", scen.model, data, fit.theta_hat, fit.winning_probs, cw.FitConfig()
+    # Latent log times with Gumbel scale 25, beyond the ceiling of 10; from
+    # sigma = 0.9, u + (1/10 - u) rounds to just above 1/10.
+    rng = np.random.default_rng(3)
+    spec = cw.ModelSpec([cw.GroupSpec([0])], p=1)
+    x = rng.standard_normal((200, 1))
+    times, _ = cw.sample_events(cw.Theta([cw.GroupParams(0.0, [0.5], 25.0)]), spec, x, rng)
+    wide = cw.Dataset(times, np.ones(200, dtype=int), x)
+    start = cw.Theta([cw.GroupParams(0.0, [0.5], 0.9)])
+    yield "ceiling", spec, wide, start, np.ones((200, 1)), cw.FitConfig()
+    # Group 0 of the stalled start, alone: the M-step is separable, and the
+    # winning probabilities of group 1 there are all below 1e-140.
+    spec, data, start = stalled_group_case()
+    eta = cw.e_step(start, spec, data)[:, :1]
+    alone = cw.ModelSpec([spec.groups[0]], p=2)
+    yield "overflow", alone, data, cw.Theta([start.groups[0]]), eta, cw.FitConfig()
 
 
 def model_value(curv, grad, x, l1, lambda2, s):
@@ -641,13 +733,7 @@ class TestFitEM:
             assert fit.final_loglik == cw.log_likelihood(updated, spec, data)
 
     def test_overflowing_gradient_stalls_without_runtime_warnings(self):
-        rng = np.random.default_rng(1)
-        spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([1])], p=2)
-        truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(1.3, [0.5], 1.2)])
-        x = rng.standard_normal((300, 2))
-        times, _ = cw.sample_events(truth, spec, x, rng)
-        data = cw.Dataset(times, np.ones(300, dtype=int), x)
-        start = cw.Theta([cw.GroupParams(-8.0, [0.9], 0.01), cw.GroupParams(1.3, [0.5], 1.2)])
+        spec, data, start = stalled_group_case()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = cw.fit_em(spec, data, theta_init=start)
@@ -656,13 +742,7 @@ class TestFitEM:
     def test_stalled_group_keeps_alpha_beta_and_moves_sigma(self):
         # The (alpha, beta) search of group 0 stalls at once from this start;
         # its sigma is still re-maximized, and the warning says so.
-        rng = np.random.default_rng(1)
-        spec = cw.ModelSpec([cw.GroupSpec([0]), cw.GroupSpec([1])], p=2)
-        truth = cw.Theta([cw.GroupParams(0.4, [0.9], 0.9), cw.GroupParams(1.3, [0.5], 1.2)])
-        x = rng.standard_normal((300, 2))
-        times, _ = cw.sample_events(truth, spec, x, rng)
-        data = cw.Dataset(times, np.ones(300, dtype=int), x)
-        start = cw.Theta([cw.GroupParams(-8.0, [0.9], 0.01), cw.GroupParams(1.3, [0.5], 1.2)])
+        spec, data, start = stalled_group_case()
         config = cw.FitConfig(max_em_iters=1, compute_std_errors=False)
         fit = cw.fit_em(spec, data, theta_init=start, config=config)
         group = fit.theta_hat.groups[0]
@@ -776,9 +856,8 @@ class TestPlainEmReference:
         assert maps[0][0] < maps[0][1]
 
 
-class TestSquarem:
-    """The EM driver: plain EM maps with Newton steps (the class is named for
-    the extrapolation the driver once had)."""
+class TestFarStartsAndBudgets:
+    """The EM driver from far starts and under small budgets."""
 
     # At the default floor no sigma reaches it, and Newton steps finish the
     # larger budgets; at 1.05, which the fitted sigmas of this dataset press
@@ -890,6 +969,22 @@ class TestNewtonFinish:
         assert fit.n_iters <= 100
         assert fit.final_penalized >= -854.2154791484
         assert fit.kkt_residual < 1e-6
+
+    def test_eliminated_groups_converge(self):
+        # At lambda2 = 80 the penalties eliminate groups 1 and 3 (alpha near
+        # 745), whose winning probabilities and hazards become subnormal.  An
+        # M-step that moved their sigmas on that rounding noise left this
+        # fit unconverged after 2000 iterations; 797 are needed while each
+        # Newton step raises such an alpha by about 1.
+        scen = cw.builtin_scenario(1, 0.1, seed=2)
+        fit = cw.fit_em(
+            scen.model,
+            cw.generate(scen).data,
+            cw.PenaltyConfig(2.0, 80.0),
+            cw.FitConfig(compute_std_errors=False),
+        )
+        assert fit.converged and fit.n_iters <= 797
+        assert [g.alpha > 700.0 for g in fit.theta_hat.groups] == [True, False, True]
 
     def test_relabelled_newton_fit_is_bit_identical(self, monkeypatch):
         phases = spy_newton(monkeypatch)
