@@ -6,12 +6,12 @@ structured configuration and results travel as JSON with a
 all JSON is serialized canonically (sorted keys, two-space indent, trailing
 newline) so that reading a file and re-serializing it is byte-identical.
 
-Both CSV paths work on whole columns.  :func:`write_csv` takes one 1-D array
-per header entry and formats the body with one ``%`` template per chunk of
-rows: a float is written as its shortest round-trip ``repr`` (what
-csv.writer writes for a Python float), an integer or boolean as an integer,
-so a flag reads ``0``/``1``.  :func:`read_dataset_csv` parses every cell with
-one ``map(float, ...)`` and checks widths and status as arrays.
+Both CSV paths work on blocks of ``_CSV_CHUNK_ROWS`` records, so the text they
+hold does not grow with the number of cells.  :func:`write_csv` formats a block
+of its 1-D columns with one ``%`` template and streams it to the file: a
+float as its shortest round-trip ``repr`` (as csv.writer writes it), an
+integer or boolean as an integer.  :func:`read_dataset_csv` parses, checks
+and converts a block at a time, and joins the blocks' float tables.
 :func:`canonical_json` joins a list of numbers in one string operation;
 everything else is encoded by the standard library, so its output equals
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  :func:`write_roc_files`
@@ -33,8 +33,8 @@ import io as _io
 import json
 import os
 import tempfile
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,11 +111,16 @@ def atomic_write_text(path: str, text: str) -> None:
     The file gets the mode a plain ``open`` would create it with,
     ``0o666`` less the umask, not the temporary file's ``0o600``.
     """
+    _atomic_write(path, (text,))
+
+
+def _atomic_write(path: str, parts: Iterable[str]) -> None:
+    """:func:`atomic_write_text` of ``"".join(parts)``, one part at a time."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -128,7 +133,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-# Rows formatted by one ``%`` template; bounds the arguments tuple.
+# Records per block of CSV reading and writing; bounds the Python objects held at once.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -138,7 +143,8 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
 
     csv.writer writes the header.  A float cell is written as its shortest
     round-trip ``repr``, as csv.writer writes a Python float, so it reads back
-    exactly; an integer cell as an integer and a boolean as ``0``/``1``.
+    exactly; an integer cell as an integer and a boolean as ``0``/``1``.  Each
+    block of rows is written as soon as it is formatted.
     """
     columns = [np.asarray(column) for column in columns]
     n = columns[0].size if columns else 0
@@ -147,12 +153,10 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     columns = [c.astype(np.int8) if c.dtype == np.bool_ else c for c in columns]
     buffer = _io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(header)
-    parts = [buffer.getvalue()]
     line = ",".join(["%r"] * len(columns)) + "\n"
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
-        parts.append(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
-    atomic_write_text(path, "".join(parts))
+    chunks = ([c[i:i + _CSV_CHUNK_ROWS].tolist() for c in columns] for i in range(0, n, _CSV_CHUNK_ROWS))
+    body = (line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))) for chunk in chunks)
+    _atomic_write(path, chain((buffer.getvalue(),), body))
 
 
 def _float_reprs(column) -> list[str]:
@@ -286,7 +290,8 @@ def write_dataset_csv(path: str, data: Dataset, covariate_names: Sequence[str] |
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
-    """Read a dataset CSV; returns the data and the covariate column names.
+    """Read a dataset CSV one block of records at a time; returns the data and
+    the covariate column names.
 
     A defect names the first failing record (blank records count): a wrong
     field count, then a cell that is not a float, then a status other than
@@ -294,74 +299,69 @@ def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
     size limit, are reported after any defect in the records read before
     them.
     """
-    records: list[list[str]] = []
-    unreadable = None
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            records.extend(csv.reader(handle))
-    except UnicodeDecodeError as exc:
-        # ``records`` keeps what was read before the failure.  The text layer
-        # counts ``exc.start`` from the chunk it was decoding, so only a
-        # failing file is decoded again whole, for the offset in the file.
-        with open(path, "rb") as raw:
+    tables, header, lineno, unreadable = [], None, 1, None
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        while True:  # over blocks; ``lineno`` is the line of the block's first record
+            records: list[list[str]] = []
             try:
-                raw.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-        unreadable = ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    except csv.Error as exc:
-        unreadable = ConfigError(f"{path}:{len(records) + 1}: {exc}")
-    return _parse_dataset_csv(path, records, unreadable)
-
-
-def _parse_dataset_csv(path: str, records, unreadable) -> tuple[Dataset, list[str]]:
-    if not records:
-        raise unreadable or ConfigError(f"{path}: empty file")
-    header = records[0]
-    if len(header) < 2 or header[0] != "time" or header[1] != "status":
-        raise ConfigError(
-            f"{path}: header must start with 'time,status', got {header[:2]}"
-        )
-    names = header[2:]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}: covariate column names {names} are not unique")
-    width = len(header)
-    rows = list(filter(None, records[1:]))
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    cells: list[float] = []
-    try:
-        cells.extend(map(float, chain.from_iterable(rows)))
-        bad_cell, first_bad_float = None, len(rows)
-    except ValueError as exc:
-        # ``cells`` holds the floats parsed before the failing cell.
-        bad_cell = exc
-        first_bad_float = int(np.searchsorted(np.cumsum(widths), len(cells), side="right"))
-    wrong_width = np.flatnonzero(widths != width)
-    first_wrong_width = int(wrong_width[0]) if wrong_width.size else len(rows)
-    # Every record before ``parsed`` has the right width and only floats.
-    parsed = min(first_wrong_width, first_bad_float)
-    table = np.array(cells, dtype=float)[: parsed * width].reshape(parsed, width)
-    bad_status = np.flatnonzero((table[:, 1] != 0.0) & (table[:, 1] != 1.0))
-    if bad_status.size or parsed < len(rows):
-        # Only a failing file pays for locating its record's line number.
-        failing = int(bad_status[0]) if bad_status.size else parsed
-        lineno = int(np.flatnonzero(list(map(len, records)))[failing + 1]) + 1
-        if bad_status.size:
-            message = f"status must be 0 or 1, got {rows[failing][1]!r}"
-        elif failing == first_wrong_width:
-            message = f"expected {width} fields, got {len(rows[failing])}"
-        else:
-            message = str(bad_cell)
-        raise ConfigError(f"{path}:{lineno}: {message}")
+                records.extend(islice(reader, _CSV_CHUNK_ROWS))
+            except UnicodeDecodeError as exc:
+                # ``records`` keeps what was read before the failure.  ``exc.start``
+                # counts from the text layer's chunk: decode again for the file offset.
+                with open(path, "rb") as raw:
+                    try:
+                        raw.read().decode("utf-8")
+                    except UnicodeDecodeError as whole:
+                        exc = whole
+                unreadable = ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+            except csv.Error as exc:
+                unreadable = ConfigError(f"{path}:{lineno + len(records)}: {exc}")
+            if header is None:
+                if not records:
+                    raise unreadable or ConfigError(f"{path}: empty file")
+                header = records[0]
+                if len(header) < 2 or header[0] != "time" or header[1] != "status":
+                    raise ConfigError(f"{path}: header must start with 'time,status', got {header[:2]}")
+                if len(set(header[2:])) != len(header) - 2:
+                    raise ConfigError(f"{path}: covariate column names {header[2:]} are not unique")
+                records[0] = []  # skipped as a blank record is, but counted
+            tables.append(_parse_block(path, records, lineno, len(header)))
+            lineno += len(records)
+            if len(records) < _CSV_CHUNK_ROWS:  # the end, or a read failure
+                break
     if unreadable is not None:
         raise unreadable
-    if not rows:
+    table = np.concatenate(tables)
+    if not len(table):
         raise ConfigError(f"{path}: no data rows")
     try:
         data = Dataset(table[:, 0], table[:, 1], table[:, 2:])
     except SpecError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return data, names
+    return data, header[2:]
+
+
+def _parse_block(path: str, records, lineno: int, width: int) -> np.ndarray:
+    """A block's float table, or a ConfigError naming its first failing record."""
+    rows = list(filter(None, records))
+    if set(map(len, rows)) <= {width}:
+        try:
+            table = np.array(list(map(float, chain.from_iterable(rows)))).reshape(len(rows), width)
+        except ValueError:
+            pass
+        else:
+            if ((table[:, 1] == 0.0) | (table[:, 1] == 1.0)).all():
+                return table
+    # Only a failing block is checked again, one record at a time.
+    for lineno, record in enumerate(records, lineno):
+        try:
+            if record and len(record) != width:
+                raise ValueError(f"expected {width} fields, got {len(record)}")
+            if record and [float(cell) for cell in record][1] not in (0.0, 1.0):
+                raise ValueError(f"status must be 0 or 1, got {record[1]!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -54,3 +56,14 @@ def random_instance(rng, n=200, L=None, target_censoring=0.1):
     times, _ = cw.sample_events(truth, spec, x, rng)
     observed, status, _ = cw.apply_censoring(times, target_censoring, rng)
     return spec, truth, cw.Dataset(observed, status, x)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes of Python and NumPy memory allocated while ``fn(*args)``
+    runs, counting what it returns."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from competing_weibull import io as formats
 from competing_weibull.errors import ConfigError, SpecError
 from competing_weibull.io import (
     atomic_write_text,
@@ -22,6 +23,7 @@ from competing_weibull.io import (
     write_roc_files,
 )
 from competing_weibull.model import Dataset
+from conftest import traced_peak
 
 HEADER = "time,status,x1\n"
 
@@ -64,6 +66,15 @@ def _reference_read(path: str):
         return Dataset(np.asarray(times), np.asarray(status), np.asarray(rows)), header[2:]
     except SpecError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _outcome(read, path) -> tuple | str:
+    """What ``read(path)`` returns, as lists, or its ConfigError message."""
+    try:
+        data, names = read(str(path))
+    except ConfigError as exc:
+        return str(exc)
+    return names, data.times.tolist(), data.status.tolist(), data.covariates.tolist()
 
 
 class TestFirstFailingRecord:
@@ -110,14 +121,13 @@ class TestFirstFailingRecord:
     def test_matches_a_streaming_reference_parser(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         path.write_text("time,status,x1,x2\n" + "".join(",".join(r) + "\n" for r in records))
-        outcomes = []
-        for read in (read_dataset_csv, _reference_read):
-            try:
-                data, names = read(str(path))
-                outcomes.append((names, data.times.tolist(), data.status.tolist(), data.covariates.tolist()))
-            except ConfigError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        expected = _outcome(_reference_read, path)
+        assert _outcome(read_dataset_csv, path) == expected
+        # Blocks of 3 records, so that defects, blank records and the end of
+        # the file fall on every position in a block.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_CSV_CHUNK_ROWS", 3)
+            assert _outcome(read_dataset_csv, path) == expected
 
     def test_defect_before_undecodable_bytes_is_reported_first(self, tmp_path):
         good = "1.0,1,0.5\n" * 3000
@@ -149,6 +159,104 @@ class TestFirstFailingRecord:
     )
     def test_file_level_errors(self, tmp_path, text, expected):
         assert _error(tmp_path, text) == expected
+
+
+def _lines(count: int, **replaced: str) -> list[str]:
+    """``count`` lines of a clean ``HEADER`` file; ``replaced`` maps ``L<line>``
+    (1-based, the header is line 1) to that line's text."""
+    lines = [HEADER] + ["1.0,1,0.5\n"] * (count - 1)
+    for key, text in replaced.items():
+        lines[int(key[1:]) - 1] = text
+    return lines
+
+
+class TestBlockBoundaries:
+    """Records are read in blocks of ``_CSV_CHUNK_ROWS`` (4096): line 4096 is
+    the last record of the first block (the header is line 1), 4097 the first
+    of the second and 8193 the first of the third."""
+
+    @pytest.mark.parametrize("line", [4096, 4097, 8193])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0,1\n", "expected 3 fields, got 2"),
+            ("1.0,1,abc\n", "could not convert string to float: 'abc'"),
+            ("1.0,2,0.5\n", "status must be 0 or 1, got '2'"),
+        ],
+        ids=["width", "float", "status"],
+    )
+    def test_defect_at_a_block_edge(self, tmp_path, line, text, message):
+        # A later defect of another kind, in the same block or a later one.
+        later = {"L8195": "1.0,1,0.5,9\n"}
+        assert formats._CSV_CHUNK_ROWS == 4096
+        body = "".join(_lines(8200, **{f"L{line}": text}, **later))
+        assert _error(tmp_path, body) == f":{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "replaced, expected",
+        [
+            # blank records around the boundary, then a defect
+            ({"L4095": "\n", "L4096": "\n", "L4097": "\n", "L4098": "1.0,x,0.5\n"},
+             ":4098: could not convert string to float: 'x'"),
+            # a record whose quoted newline puts its end on the next physical line
+            ({"L4096": '1.0,1,"0.5\n"\n', "L4097": '2.0,0,"\n7"\n', "L4099": "1.0,1\n"},
+             ":4099: expected 3 fields, got 2"),
+            ({"L4095": "\n", "L4096": '1.0,1,"0.5\n"\n', "L4097": "\n"}, None),
+            ({"L8192": "\n", "L8193": "\n"}, None),
+        ],
+        ids=["blank-then-defect", "quoted-newline-then-defect", "blank-and-quoted", "blank-block-start"],
+    )
+    def test_blank_records_and_quoted_newlines(self, tmp_path, replaced, expected):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(_lines(8200, **replaced)))
+        outcome = _outcome(read_dataset_csv, path)
+        assert outcome == _outcome(_reference_read, path)
+        if expected is not None:
+            assert outcome == f"{path}{expected}"
+        else:
+            assert len(outcome[1]) == 8199 - sum(text == "\n" for text in replaced.values())
+
+    @pytest.mark.parametrize(
+        "defect, expected",
+        [
+            ({"L4200": "1.0,1\n"}, ":4200: expected 3 fields, got 2"),
+            ({}, ": not UTF-8 text (invalid start byte at byte 70015)"),
+        ],
+        ids=["defect-first", "clean"],
+    )
+    def test_undecodable_bytes_in_the_second_block(self, tmp_path, defect, expected):
+        # The 0xff byte starts line 7002, chunks of the text layer past line 4200.
+        lines = _lines(7001, **defect)
+        body = "".join(lines).encode("utf-8") + b"\xff\n" + "".join(lines[1:]).encode("utf-8")
+        assert _error(tmp_path, body) == expected
+
+    def test_field_over_the_csv_size_limit_in_the_second_block(self, tmp_path):
+        huge = "1.0,1," + "1" * (csv.field_size_limit() + 1) + "\n"
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        assert _error(tmp_path, "".join(_lines(6000, L5000=huge))) == f":5000: {limit}"
+        body = "".join(_lines(6000, L4500="1.0,1,x\n", L5000=huge))
+        assert _error(tmp_path, body) == ":4500: could not convert string to float: 'x'"
+
+
+class TestMemory:
+    """Reading and writing hold one block of records as Python objects at a
+    time, so their memory grows with the float arrays, not the text.  At
+    n = 20000, p = 4 (a 1.9 MB file) holding every cell's text at once
+    peaks near 15 MB when reading and 6.5 MB when writing."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(0)
+        n = 20000
+        return Dataset(rng.exponential(size=n) + 0.01, rng.integers(0, 2, n), rng.standard_normal((n, 4)))
+
+    def test_write_peak(self, tmp_path, data):
+        assert traced_peak(write_dataset_csv, str(tmp_path / "data.csv"), data) <= 3e6
+
+    def test_read_peak(self, tmp_path, data):
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(path, data)
+        assert traced_peak(read_dataset_csv, path) <= 6e6
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +453,20 @@ class TestDatasetCsvRoundTrip:
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3)])
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "x.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_write_csv_failing_in_a_later_block_leaves_the_target(self, tmp_path):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        column = np.array([1.5] * 6000, dtype=object)
+        column[5000] = Unprintable()
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(RuntimeError, match="no repr"):
+            write_csv(str(path), ["a"], [column])
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestRocFiles:
