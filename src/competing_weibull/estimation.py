@@ -11,7 +11,13 @@ fitting convention throughout is to maximize
 
     Q_l(theta) - lambda1 * exp(-alpha_l) - lambda2 * ||beta_l||_1
 
-per group, i.e. the penalized expected complete log-likelihood.
+per group, i.e. the penalized expected complete log-likelihood.  Each of
+its derivatives has one home: ``_group_score`` (the gradient of Q_l, at the
+E-step's eta the group's block of the observed score), ``_location_system``
+(the M-step's (alpha, beta) system) and ``_pull_intercepts`` (the intercept
+penalty's terms).  Every n-long reduction, the linear predictor included,
+is a numpy reduction, not a BLAS product, so fits do not depend on the BLAS
+thread count.
 
 The fit evaluates the model at the data in one place, ``_Point``: one
 kernel call gives the cumulative hazards, the per-subject log-likelihood
@@ -249,6 +255,18 @@ def _intercept_penalty(alpha: float, lambda1: float) -> float:
         return math.inf
 
 
+def _pull_intercepts(params, at, lambda1: float, grad: np.ndarray, neg_hess=None) -> None:
+    """Subtracts the intercept penalties of the alphas at positions ``at`` of
+    ``params`` from the objective whose ascent gradient is ``grad`` and, when
+    given, negated Hessian ``neg_hess``: ``lambda1 * exp(-alpha)`` is at once
+    the penalty, minus its alpha-derivative and its curvature."""
+    for j in at:
+        pull = _intercept_penalty(params[j], lambda1)
+        grad[j] += pull
+        if neg_hess is not None:
+            neg_hess[j, j] += pull
+
+
 def _no_worse(value: float, current: float) -> bool:
     """Whether an objective ``value`` is not below ``current`` beyond rounding.
 
@@ -299,21 +317,14 @@ def e_step(theta: Theta, spec: ModelSpec, data: Dataset) -> np.ndarray:
 
 
 def _q_group_values(
-    work: _Workspace,
-    l: int,
-    alpha: float,
-    beta: np.ndarray,
-    sigma: float,
-    eta_l: np.ndarray,
+    work: _Workspace, l: int, alpha: float, beta: np.ndarray, sigma: float, eta_l: np.ndarray
 ):
     """Q_l at (alpha, beta, sigma), plus the arrays its gradient reuses."""
     mu = _group_mu(work.x_groups[l], alpha, beta)
     log_haz, cumhaz = _hazards(mu, sigma, work.log_t)
     weight = work.delta * eta_l
-    # np.sum of the products, not a BLAS dot: a threaded dot splits its sum
-    # by the thread count, and fits must not depend on it.  A zero weight
-    # against an infinite log hazard gives nan, quietly, as the dot did, and
-    # an overflowing sum gives -inf, which the M-step rejects.
+    # A zero weight against an infinite log hazard gives nan, quietly, and an
+    # overflowing sum gives -inf, which the M-step rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         q = float(np.sum(weight * log_haz) - np.sum(cumhaz))
     return q, (mu, cumhaz, weight)
@@ -362,52 +373,43 @@ class QGroupGradients:
     sigma: float
 
 
-def _location_gradient(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float):
-    """Gradient of Q_l - lambda1 exp(-alpha) in (alpha, beta) for the group
-    design ``x``, from the arrays :func:`_q_group_values` returned at the
-    same (alpha, beta, sigma)."""
-    _, cumhaz, weight = terms
-    # Far from the data the gradient overflows; callers treat a non-finite
-    # gradient as a stalled step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = (cumhaz - weight) / sigma
-        g_alpha = float(np.sum(resid)) + _intercept_penalty(alpha, lambda1)
-        g_beta = x.T @ resid
-    return g_alpha, g_beta
+def _group_score(a: np.ndarray, x: np.ndarray, g: GroupParams, log_t, h, w) -> np.ndarray:
+    """Gradient of Q_l in (alpha, beta, sigma) at ``g`` for the group design
+    ``x``, cumulative hazards ``h`` and w = delta * eta_l; at eta =
+    e_step(theta) it is the group's block of the observed score (Fisher's
+    identity).  With d = log T - mu, minus the log hazard's gradient,
+    a = [1, x, d / sigma + 1] / sigma, is written into ``a``, one row per
+    parameter.  The gradient is ``sum (H - w) a`` but for the sigma entry:
+    ``sum (d H - (d + sigma) w) / sigma^2`` in one pairwise sum, where
+    ``sum (H - w) a - sum H / sigma`` would cancel two sums of order n.
+    """
+    d = log_t - _group_mu(x, g.alpha, g.beta)
+    a[0] = 1.0 / g.sigma
+    np.divide(x.T, g.sigma, out=a[1:-1])
+    a[-1] = (d / g.sigma + 1.0) / g.sigma
+    score = np.einsum("ji,i->j", a, h - w)
+    # numpy's power overflows to inf where a Python float's raises
+    score[-1] = np.sum(d * h - (d + g.sigma) * w) / np.float64(g.sigma) ** 2
+    return score
 
 
 def q_gradients(
-    l: int,
-    theta: Theta,
-    spec: ModelSpec,
-    data: Dataset,
-    eta,
-    penalty: PenaltyConfig,
+    l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta, penalty: PenaltyConfig
 ) -> QGroupGradients:
-    """Analytic ascent gradient of the penalized group objective.
-
-    The alpha component is ``(1/sigma) sum_i [w_il - delta_i eta_il] +
-    lambda1 exp(-alpha)`` with ``w_il = (T_i/exp(mu_il))^(1/sigma)``; beta
-    components subtract ``lambda2 sign(beta)``; the sigma component is
-    ``(1/sigma^2) sum_i [delta_i eta_il (mu_il - sigma - log T_i) +
-    (log T_i - mu_il) w_il]``.
-    """
+    """Analytic ascent gradient of the penalized group objective: that of
+    Q_l at the given eta (:func:`_group_score`), with the intercept pull
+    (:func:`_pull_intercepts`) and ``-lambda2 sign(beta)`` added."""
     theta.validate_against(spec)
     eta = np.asarray(eta, dtype=float)
     work = _Workspace(spec, data)
-    g = theta.groups[l]
-    sigma = g.sigma
-    _, terms = _q_group_values(work, l, g.alpha, g.beta, sigma, eta[:, l])
-    mu, cumhaz, weight = terms
-    g_alpha, g_beta = _location_gradient(work.x_groups[l], g.alpha, sigma, terms, penalty.lambda1)
-    g_beta = g_beta - penalty.lambda2 * np.sign(g.beta)
+    g, x = theta.groups[l], work.x_groups[l]
+    _, (_, cumhaz, weight) = _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])
+    a = np.empty((x.shape[1] + 2, x.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        # numpy's power overflows to inf where a Python float's raises
-        g_sigma = float(
-            np.sum(weight * (mu - sigma - work.log_t) + (work.log_t - mu) * cumhaz)
-            / np.float64(sigma) ** 2
-        )
-    return QGroupGradients(g_alpha, g_beta, g_sigma)
+        grad = _group_score(a, x, g, work.log_t, cumhaz, weight)
+    _pull_intercepts((g.alpha,), (0,), penalty.lambda1, grad)
+    g_beta = grad[1:-1] - penalty.lambda2 * np.sign(g.beta)
+    return QGroupGradients(float(grad[0]), g_beta, float(grad[-1]))
 
 
 def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, eta: np.ndarray):
@@ -415,20 +417,18 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
     the ``Theta.flatten`` layout, from the kernel's cumulative hazards and the
     winning probabilities at ``theta`` (Louis 1982).
 
-    Per group, with z = (log T - mu) / sigma and a = [1, x, z + 1] / sigma,
-    the log hazard has gradient -a, the cumulative hazard H has gradient
+    Per group, the log hazard has gradient -a (:func:`_group_score`, which
+    gives the score block), the cumulative hazard H has gradient
     -H (a - e / sigma) with e the unit vector of sigma, and w = delta * eta_l.
-    The score block is sum (H - w) a - e sum H / sigma, and the information
-    is sum delta (eta a)(eta a)' over all pairs of groups, with eta a the
-    stacked eta_l a_l, plus per group
+    The information is sum delta (eta a)(eta a)' over all pairs of groups,
+    with eta a the stacked eta_l a_l, plus per group
 
         sum (H - w) a a' - (e (sum w a)' + (sum w a) e') / sigma
         + e e' sum (w - H) / sigma^2.
 
-    The reductions are numpy sums and einsums, not BLAS products, over
-    blocks of ``_INFO_ROWS`` rows laid out in the workspace's group order,
-    the canonical one in a fit, so the result does not depend on the thread
-    count or on the group labelling, and its memory does not grow with n.
+    The reductions run over blocks of ``_INFO_ROWS`` rows laid out in the
+    workspace's group order, the canonical one in a fit, so the result does
+    not depend on the group labelling, and its memory does not grow with n.
     Entries that overflow come out non-finite, quietly.
     """
     d = theta.n_params
@@ -440,17 +440,11 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
             delta = work.delta[rows]
             eta_a = np.empty((d, delta.shape[0]))  # a, then eta a, one row per parameter
             for l, g in enumerate(theta.groups):
-                x = work.x_groups[l][rows]
                 block = slice(work.alpha_at[l], work.sigma_at[l] + 1)
                 a = eta_a[block]
-                a[0] = 1.0 / g.sigma
-                np.divide(x.T, g.sigma, out=a[1:-1])
-                z = (work.log_t[rows] - _group_mu(x, g.alpha, g.beta)) / g.sigma
-                a[-1] = (z + 1.0) / g.sigma
                 h, w = cumhaz[rows, l], delta * eta[rows, l]
+                score[block] += _group_score(a, work.x_groups[l][rows], g, work.log_t[rows], h, w)
                 excess = h - w
-                score[block] += np.einsum("ji,i->j", a, excess)
-                score[work.sigma_at[l]] -= float(np.sum(h)) / g.sigma
                 own = np.einsum("ji,i,ki->jk", a, excess, a)
                 w_a = np.einsum("ji,i->j", a, w) / g.sigma
                 own[-1] -= w_a
@@ -468,23 +462,26 @@ def _score_and_information(work: _Workspace, theta: Theta, cumhaz: np.ndarray, e
 # ---------------------------------------------------------------------------
 
 
-def _curvature(x: np.ndarray, alpha: float, sigma: float, terms, lambda1: float) -> np.ndarray:
-    """Minus the Hessian of Q_l - lambda1 exp(-alpha) in (alpha, beta):
-    ``X'diag(H / sigma^2)X + lambda1 exp(-alpha) e1 e1'`` with X = [1, x].
-
-    The n-long reductions are numpy sums, not BLAS products, so the matrix
-    does not depend on the BLAS thread count.
+def _location_system(x: np.ndarray, sigma: float, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Ascent gradient and negated Hessian of Q_l in (alpha, beta) for the
+    group design ``x``, from the arrays :func:`_q_group_values` returned at
+    the same (alpha, beta, sigma): ``X'(H - w) / sigma`` and
+    ``X'diag(H / sigma^2)X``, with X = [1, x] and H the cumulative hazards.
+    Far from the data they overflow; callers treat a system that is not
+    finite as a stalled step.
     """
-    _, cumhaz, _ = terms
+    _, cumhaz, weight = terms
     k = x.shape[1]
-    curv = np.empty((k + 1, k + 1))
+    grad, curv = np.empty(k + 1), np.empty((k + 1, k + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = cumhaz / sigma**2
-        curv[0, 0] = float(np.sum(h)) + _intercept_penalty(alpha, lambda1)
+        resid, h = (cumhaz - weight) / sigma, cumhaz / sigma**2
+        grad[0] = np.sum(resid)
+        grad[1:] = np.einsum("ij,i->j", x, resid)
+        curv[0, 0] = np.sum(h)
         xh = x * h[:, None]
         curv[0, 1:] = curv[1:, 0] = np.sum(xh, axis=0)
         curv[1:, 1:] = np.einsum("ij,ik->jk", xh, x)
-    return curv
+    return grad, curv
 
 
 def _prox_newton_step(curv, grad, x, l1, lambda2, lower, upper) -> np.ndarray:
@@ -637,16 +634,14 @@ def _update_group(
         return _penalized(q, alpha, beta, penalty), terms
 
     def location_step(coef: np.ndarray, terms):
-        alpha = float(coef[0])
-        if math.isinf(_intercept_penalty(alpha, penalty.lambda1)):
+        if math.isinf(_intercept_penalty(coef[0], penalty.lambda1)):
             # exp(-alpha) overflows, so the penalty dominates the model: take
             # the limit of its own Newton step, which is +1 in alpha.
             step = np.zeros(coef.shape[0])
             step[0] = 1.0
             return step
-        g_alpha, g_beta = _location_gradient(x, alpha, sigma, terms, penalty.lambda1)
-        grad = np.concatenate([[g_alpha], g_beta])
-        curv = _curvature(x, alpha, sigma, terms, penalty.lambda1)
+        grad, curv = _location_system(x, sigma, terms)
+        _pull_intercepts(coef, (0,), penalty.lambda1, grad, curv)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(curv))):
             return None
         # At unit length the new coefficients are the model's minimizer,
@@ -756,7 +751,7 @@ def initialize_theta(spec: ModelSpec, data: Dataset) -> Theta:
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
         dof = max(y.shape[0] - design.shape[1], 1)
-        sigma_res = max(float(np.sqrt(resid @ resid / dof)) * math.sqrt(6.0) / math.pi, 0.05)
+        sigma_res = max(float(np.sqrt(np.sum(resid**2) / dof)) * math.sqrt(6.0) / math.pi, 0.05)
         alpha = float(coef[0]) + EULER_GAMMA * sigma_res
         groups.append(GroupParams(alpha, coef[1:], 1.0))
     return Theta(groups)
@@ -773,34 +768,17 @@ def _jittered(theta: Theta, rng: np.random.Generator) -> Theta:
     ])
 
 
-def _norm(change: np.ndarray) -> float:
-    """Euclidean norm of a parameter change; inf when an entry is not finite.
-
-    The squares are scaled by the largest entry, so the norm neither
-    overflows nor warns.
-    """
-    size = np.abs(change)
-    top = float(np.max(size))
-    if not math.isfinite(top):
-        return math.inf
-    if top == 0.0:
-        return 0.0
-    return top * math.sqrt(float(np.sum((size / top) ** 2)))
-
-
 def _newton_system(point: _Point, penalty: PenaltyConfig):
     """Ascent gradient and negated Hessian of the smooth part of the
     penalized observed objective at ``point``: the score plus ``lambda1
     exp(-alpha)`` on the alphas, and the information plus ``lambda1
-    exp(-alpha)`` on the alpha diagonal.  The lasso term is left to the
-    proximal Newton model and the KKT residual, which take it exactly.
+    exp(-alpha)`` on the alpha diagonal (:func:`_pull_intercepts`).  The
+    lasso term is left to the proximal Newton model and the KKT residual,
+    which take it exactly.
     """
     score, info = point.derivatives
-    alphas = point.work.alpha_at
-    pull = np.array([_intercept_penalty(a, penalty.lambda1) for a in point.theta.flatten()[alphas]])
     grad, neg_hess = score.copy(), info.copy()
-    grad[alphas] += pull
-    neg_hess[alphas, alphas] += pull
+    _pull_intercepts(point.theta.flatten(), point.work.alpha_at, penalty.lambda1, grad, neg_hess)
     return grad, neg_hess
 
 
@@ -893,7 +871,7 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         taken = _newton_point(point, penalty, config.sigma_floor) if newton else None
         if taken is not None:
             step, point = taken
-            moved = _norm(step)
+            moved = math.hypot(*step)
         else:
             m = len(loglik_trace) - 1
             theta, stalled = _em_map(work, point.theta, point.eta, penalty, config.sigma_floor)
@@ -903,7 +881,7 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
                 for l in stalled
             )
             new = _Point(work, theta, penalty)
-            moved = _norm(new.theta.flatten() - point.theta.flatten())
+            moved = math.hypot(*(new.theta.flatten() - point.theta.flatten()))
             point = new
             newton = moved < _NEWTON_START
         converged = moved < config.epsilon

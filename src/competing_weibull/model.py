@@ -295,13 +295,17 @@ def _check_time(t: float, allow_zero: bool = False) -> float:
 
 
 def _group_designs(spec: ModelSpec, covariates: np.ndarray) -> list[np.ndarray]:
-    """Each group's own covariate columns, sliced once per covariate matrix."""
-    return [covariates[:, list(g.covariate_indices)] for g in spec.groups]
+    """Each group's own covariate columns, sliced once per covariate matrix
+    and stored column by column, so the fit's reductions over rows run down
+    whole columns."""
+    return [covariates.T[list(g.covariate_indices)].T for g in spec.groups]
 
 
 def _group_mu(x: np.ndarray, alpha: float, beta: np.ndarray) -> np.ndarray:
-    """One group's linear predictor for every row of its design ``x``."""
-    return alpha + x @ beta
+    """One group's linear predictor for every row of its design ``x``: a
+    numpy reduction, not a BLAS product, so it does not depend on the BLAS
+    thread count."""
+    return alpha + np.einsum("ij,j->i", x, beta)
 
 
 def _mu_matrix(theta: Theta, designs: Sequence[np.ndarray]) -> np.ndarray:

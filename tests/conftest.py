@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,3 +71,19 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_python(script: str, blas_threads: int | None = None, cwd=None) -> str:
+    """Standard output of ``script`` run by a fresh interpreter that imports
+    the package from this source tree, with ``OPENBLAS_NUM_THREADS`` set to
+    ``blas_threads`` when given; a nonzero exit fails the calling test."""
+    env = dict(os.environ)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = str(Path(cw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout

@@ -5,9 +5,6 @@ import json
 import logging
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +15,7 @@ import competing_weibull as cw
 from competing_weibull.cli import main
 from competing_weibull.metrics import default_time_grid
 from competing_weibull.io import canonical_json, fit_from_json, read_dataset_csv, write_dataset_csv
+from conftest import run_python
 
 
 def run(*argv):
@@ -700,14 +698,7 @@ def _scipy_modules_after(script: str, cwd) -> str:
     """The ``scipy`` modules loaded once ``script`` has run in a fresh
     interpreter, as printed by it."""
     script += "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    src = str(Path(cw.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return run_python(script, cwd=cwd).strip()
 
 
 class TestImportCost:

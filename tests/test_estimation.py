@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,7 @@ from competing_weibull.estimation import (
     _penalized_loglik,
     penalized_q_group,
 )
-from conftest import random_instance
+from conftest import random_instance, run_python
 
 
 def brute_force_loglik(theta, spec, data):
@@ -282,6 +278,23 @@ class TestScore:
                 ) / (2 * step[j])
             worst = max(worst, np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("example, censoring", [(1, 0.1), (2, 0.2), (3, 0.3)])
+    def test_q_gradients_are_score_blocks_at_the_e_step(self, example, censoring):
+        # Fisher's identity: at eta = e_step(theta), the unpenalized gradient
+        # of Q_l is group l's block of the observed score, to 1e-12 of the
+        # block's largest entry.
+        scen = cw.builtin_scenario(example, censoring, seed=1)
+        spec, data = scen.model, cw.generate(scen).data
+        noise = np.random.default_rng(example).normal(0.0, 0.1, scen.truth.n_params)
+        theta = cw.Theta.from_flat(scen.truth.flatten() + noise, spec)
+        eta = cw.e_step(theta, spec, data)
+        score = _Point(_Workspace(spec, data), theta).derivatives[0]
+        ends = np.cumsum([2 + g.n_covariates for g in spec.groups])
+        for l, block in enumerate(np.split(score, ends[:-1])):
+            grad = cw.q_gradients(l, theta, spec, data, eta, cw.PenaltyConfig())
+            gradient = np.array([grad.alpha, *grad.beta, grad.sigma])
+            assert np.max(np.abs(gradient - block)) <= 1e-12 * np.max(np.abs(block))
 
 
 class TestMStep:
@@ -754,29 +767,29 @@ class TestFitEM:
         )
 
     def test_fit_does_not_depend_on_blas_threads(self):
-        # Example 2 at n = 12000: a threaded BLAS dot in the M-step made the
-        # tenth iteration differ between one and two threads.
+        # Example 2 at n = 15000: threaded BLAS products in the linear
+        # predictor and in the M-step's gradient made the fit differ between
+        # one and two threads.  The predictions at the fitted theta are
+        # pinned as well.
         script = (
+            "import hashlib\n"
             "import competing_weibull as cw\n"
+            "from competing_weibull.model import _expected_times, _survival_and_winning\n"
             "from competing_weibull.simulation import ScenarioSpec\n"
             "base = cw.builtin_scenario(2, 0.2)\n"
-            "scen = ScenarioSpec(base.model, base.truth, 12000, base.target_censoring, 4)\n"
-            "fit = cw.fit_em(scen.model, cw.generate(scen).data, cw.PenaltyConfig(2.0, 1.0),\n"
+            "scen = ScenarioSpec(base.model, base.truth, 15000, base.target_censoring, 1)\n"
+            "data = cw.generate(scen).data\n"
+            "fit = cw.fit_em(scen.model, data, cw.PenaltyConfig(2.0, 1.0),\n"
             "    cw.FitConfig(max_em_iters=10, compute_std_errors=False))\n"
-            "for a in (fit.theta_hat.flatten(), fit.loglik_trace, fit.penalized_trace):\n"
-            "    print(a.tobytes().hex())\n"
+            "theta, x = fit.theta_hat, data.covariates\n"
+            "for a in (theta.flatten(), fit.loglik_trace, fit.penalized_trace,\n"
+            "          *_expected_times(theta, scen.model, x),\n"
+            "          *_survival_and_winning(theta, scen.model, x, 1.0)):\n"
+            "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
         )
-        src = str(Path(cw.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True
-            )
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
-        assert outputs[0] == outputs[1]
+        one, two = (run_python(script, blas_threads=threads) for threads in (1, 2))
+        assert len(one.split()) == 11
+        assert one == two
 
     def test_multi_start_is_deterministic(self):
         rng = np.random.default_rng(77)
@@ -1089,6 +1102,50 @@ class TestMetamorphicRelations:
             assert abs(fit.final_loglik - (base.final_loglik - k * events)) <= 1e-9
             assert fit.n_iters == base.n_iters
             assert np.array_equal(flat == 0.0, base_flat == 0.0)
+
+    @pytest.mark.parametrize("lambda2", [0.0, 1.0])
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_covariate_shift_moves_only_the_alphas(self, example, lambda2):
+        # x -> x + c is mu_l -> mu_l + beta_l . c[A_l]: each alpha moves by
+        # -beta_l . c[A_l], the betas, the sigmas and their standard errors
+        # stay, and so does the log-likelihood.  The intercept penalty would
+        # change with alpha, so lambda1 = 0.  The shifted covariates are
+        # rounded and the two fits may take different numbers of steps, so
+        # theta and the kept standard errors agree to 1e-10 rather than to
+        # rounding (both gaps were below 2e-13 when this test was written).
+        spec, data = self.case(example)
+        penalty = cw.PenaltyConfig(0.0, lambda2)
+        base = cw.fit_em(spec, data, penalty)
+        c = np.linspace(-1.5, 2.0, spec.p)
+        fit = cw.fit_em(spec, cw.Dataset(data.times, data.status, data.covariates + c), penalty)
+        expected = cw.Theta([
+            cw.GroupParams(g.alpha - g.beta @ c[list(group.covariate_indices)], g.beta, g.sigma)
+            for g, group in zip(base.theta_hat.groups, spec.groups)
+        ]).flatten()
+        flat = fit.theta_hat.flatten()
+        assert np.max(np.abs(flat - expected)) <= 1e-10
+        assert np.array_equal(flat == 0.0, expected == 0.0)
+        kept = ~alpha_mask(spec)
+        assert np.max(np.abs(fit.std_errors[kept] / base.std_errors[kept] - 1.0)) <= 1e-10
+        assert abs(fit.final_loglik - base.final_loglik) <= 1e-9
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_duplicated_rows_with_doubled_penalty_keep_the_maximizer(self, example):
+        # Every row twice and both penalty weights doubled is twice the
+        # penalized objective, so the maximizer stays, to 1e-12 (sums over
+        # 2n rows round differently), the log-likelihood doubles and the
+        # standard errors shrink by sqrt(2).
+        spec, data = self.case(example)
+        base = cw.fit_em(spec, data, cw.PenaltyConfig(2.0, 1.0))
+        columns = (data.times, data.status, data.covariates)
+        twice = cw.Dataset(*(np.concatenate([a, a]) for a in columns))
+        fit = cw.fit_em(spec, twice, cw.PenaltyConfig(4.0, 2.0))
+        flat, base_flat = fit.theta_hat.flatten(), base.theta_hat.flatten()
+        assert np.max(np.abs(flat - base_flat)) <= 1e-12
+        assert np.array_equal(flat == 0.0, base_flat == 0.0)
+        assert np.max(np.abs(fit.std_errors * math.sqrt(2.0) / base.std_errors - 1.0)) <= 1e-12
+        assert abs(fit.final_loglik - 2.0 * base.final_loglik) <= 1e-9
+        assert fit.n_iters == base.n_iters
 
     @pytest.mark.parametrize("example", [1, 2, 3])
     def test_row_order_does_not_matter(self, example):
