@@ -31,7 +31,9 @@ Newton steps on the penalized observed log-likelihood take over, from the
 same solver as the M-step (``_prox_newton_step``) on all of theta with
 sigma boxed, so they may change the zero set; a step that fails a
 safeguard hands the fit back to EM.  The same information gives the
-standard errors.
+standard errors.  The public group-level views, ``q_group`` to ``m_step``,
+check theta, eta and the group index in one place, ``_group_inputs``;
+the fit's loop pays nothing for those checks.
 """
 
 from __future__ import annotations
@@ -330,15 +332,26 @@ def _q_group_values(
     return q, (mu, cumhaz, weight)
 
 
+def _group_inputs(theta: Theta, spec: ModelSpec, data: Dataset, eta, l: int = 0):
+    """The workspace and float eta of a group-level view, once theta fits the
+    spec, eta is an (n, L) array of probabilities in [0, 1] and the group
+    index ``l`` lies in 0..L-1.  The fit's loop calls ``_em_map`` directly."""
+    theta.validate_against(spec)
+    work, eta = _Workspace(spec, data), np.asarray(eta, dtype=float)
+    if eta.shape != (data.n, spec.n_groups) or not np.all((eta >= 0.0) & (eta <= 1.0)):
+        raise SpecError(f"eta must be a ({data.n}, {spec.n_groups}) array of probabilities in [0, 1]")
+    if not (isinstance(l, (int, np.integer)) and 0 <= l < spec.n_groups):
+        raise SpecError(f"group index {l} is not in 0..{spec.n_groups - 1}")
+    return work, eta
+
+
 def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
     """Group-l term of the expected complete log-likelihood.
 
     Equals ``sum_i delta_i eta_il [(1/sigma - 1) log T_i - log sigma -
     mu_il / sigma] - (T_i / exp(mu_il))^(1/sigma)``.
     """
-    theta.validate_against(spec)
-    eta = np.asarray(eta, dtype=float)
-    work = _Workspace(spec, data)
+    work, eta = _group_inputs(theta, spec, data, eta, l)
     g = theta.groups[l]
     return _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])[0]
 
@@ -346,8 +359,10 @@ def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
 def q_function(theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
     """Expected complete log-likelihood; decomposes exactly as the sum of
     the group terms, which is what makes the M-step separable."""
+    work, eta = _group_inputs(theta, spec, data, eta)
     return sum(
-        q_group(l, theta, spec, data, eta) for l in range(spec.n_groups)
+        _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])[0]
+        for l, g in enumerate(theta.groups)
     )
 
 
@@ -355,8 +370,8 @@ def penalized_q_group(
     l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta, penalty: PenaltyConfig
 ) -> float:
     """Group objective maximized in the M-step: Q_l minus its penalties."""
-    g = theta.groups[l]
-    return _penalized(q_group(l, theta, spec, data, eta), g.alpha, g.beta, penalty)
+    q = q_group(l, theta, spec, data, eta)
+    return _penalized(q, theta.groups[l].alpha, theta.groups[l].beta, penalty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +414,7 @@ def q_gradients(
     """Analytic ascent gradient of the penalized group objective: that of
     Q_l at the given eta (:func:`_group_score`), with the intercept pull
     (:func:`_pull_intercepts`) and ``-lambda2 sign(beta)`` added."""
-    theta.validate_against(spec)
-    eta = np.asarray(eta, dtype=float)
-    work = _Workspace(spec, data)
+    work, eta = _group_inputs(theta, spec, data, eta, l)
     g, x = theta.groups[l], work.x_groups[l]
     _, (_, cumhaz, weight) = _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])
     a = np.empty((x.shape[1] + 2, x.shape[0]))
@@ -721,9 +734,8 @@ def m_step(
     and beta of its last accepted step (its start if none was accepted), and
     its sigma is still re-maximized.
     """
-    theta.validate_against(spec)
-    eta = np.asarray(eta, dtype=float)
-    return _em_map(_Workspace(spec, data), theta, eta, penalty, config.sigma_floor)[0]
+    work, eta = _group_inputs(theta, spec, data, eta)
+    return _em_map(work, theta, eta, penalty, config.sigma_floor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +901,11 @@ def _run_em(work: _Workspace, penalty: PenaltyConfig, config: FitConfig, theta: 
         penalized_trace.append(point.penalized)
         if converged:
             break
+    warnings.extend(
+        f"group {labels[l]} eliminated: its cumulative hazard underflows to 0 at every "
+        "subject, so its alpha and sigma are not determined by the data"
+        for l in np.flatnonzero(np.all(point.cumhaz == 0.0, axis=0))
+    )
 
     result = FitResult(
         theta_hat=point.theta,

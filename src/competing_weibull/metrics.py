@@ -9,8 +9,8 @@ each event, the later subjects ranked below and tied with it, from dense
 ranks and binary searches (O(n log^2 n) time, O(n) memory); Harrell's C is
 a ratio of exact integer counts.  A ROC curve is one sort by descending
 marker plus cumulative weight sums read at the end of each tied-marker
-block (O(n log n) time, O(n) memory).  Both reject non-finite scores or
-times and any status other than 0 or 1 with :class:`SpecError`.
+block (O(n log n) time, O(n) memory).  One function checks every (times,
+status) pair; a bad pair, or a score that is not finite, raises SpecError.
 """
 
 from __future__ import annotations
@@ -107,16 +107,10 @@ def kaplan_meier(times, status) -> StepSurvival:
     censored at t still count as at risk for events at t.  Raises
     :class:`SpecError` when a time is not finite or a status is not 0 or 1.
     """
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    if times.ndim != 1 or times.size < 1:
-        raise SpecError("kaplan_meier needs at least one observation")
-    if status.shape != times.shape:
-        raise SpecError("times and status must have equal length")
-    _check_times_and_status(times, status)
+    times, event = _times_and_events(times, status)
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
-    d_sorted = status[order].astype(int)
+    d_sorted = event[order].astype(int)
     uniq, start = np.unique(t_sorted, return_index=True)
     n = times.size
     at_risk = n - start
@@ -128,29 +122,30 @@ def kaplan_meier(times, status) -> StepSurvival:
     return StepSurvival(uniq[keep], np.cumprod(factors))
 
 
-def _check_times_and_status(times: np.ndarray, status: np.ndarray) -> None:
-    """Every time must be finite and every status exactly 0 or 1: a NaN has
-    no place in an ordering, and any other status would be neither an event
-    nor a censoring."""
+def _times_and_events(times, status):
+    """Float times and event mask of a (times, status) pair of equal-length
+    nonempty vectors, finite times (a NaN has no place in an ordering) and
+    statuses 0 or 1 (any other is neither event nor censoring)."""
+    times, status = np.asarray(times, dtype=float), np.asarray(status)
+    if times.ndim != 1 or not times.size or status.shape != times.shape:
+        raise SpecError("times and status must be equal-length nonempty vectors")
     if not np.all(np.isfinite(times)):
         raise SpecError("every time must be finite")
     if not np.all((status == 0) | (status == 1)):
         raise SpecError("every status must be 0 or 1")
+    return times, status == 1
 
 
 def _survival_inputs(scores, times, status, what: str):
     """Validated (scores, times, event) vectors for a concordance or ROC call:
-    nonempty, every score finite, and times and status as
-    :func:`_check_times_and_status` requires."""
+    one finite score per time of a pair that :func:`_times_and_events` takes."""
+    times, event = _times_and_events(times, status)
     scores = np.asarray(scores, dtype=float)
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    if not (scores.shape == times.shape == status.shape) or scores.ndim != 1 or not scores.size:
+    if scores.shape != times.shape:
         raise SpecError(f"{what}, times, and status must be equal-length nonempty vectors")
     if not np.all(np.isfinite(scores)):
         raise SpecError(f"every {what} must be finite")
-    _check_times_and_status(times, status)
-    return scores, times, status == 1
+    return scores, times, event
 
 
 def _later_pair_counts(risk: np.ndarray, times: np.ndarray, rows: np.ndarray):
@@ -286,10 +281,8 @@ def default_time_grid(times, status, n_points: int = 9) -> np.ndarray:
     A time that is not finite or a status other than 0 or 1 raises
     :class:`SpecError`.
     """
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    _check_times_and_status(times, status)
-    event_times = times[status == 1]
+    times, event = _times_and_events(times, status)
+    event_times = times[event]
     if event_times.size < 2:
         raise MetricError("need at least two event times to build a grid")
     grid = np.quantile(event_times, np.linspace(0.1, 0.9, n_points))
@@ -311,12 +304,8 @@ def integrated_auc(
     degenerate a :class:`MetricError` is raised.  A time or grid point that
     is not finite, or a status other than 0 or 1, raises :class:`SpecError`.
     """
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    _check_times_and_status(times, status)
-    grid_arr = (
-        default_time_grid(times, status) if grid is None else np.asarray(grid, dtype=float)
-    )
+    times, event = _times_and_events(times, status)
+    grid_arr = default_time_grid(times, event) if grid is None else np.asarray(grid, dtype=float)
     if grid_arr.size < 2:
         raise MetricError("the iAUC grid needs at least two points")
     if not np.all(np.isfinite(grid_arr)) or np.any(np.diff(grid_arr) <= 0):
@@ -325,13 +314,13 @@ def integrated_auc(
     aucs: list[float | None] = []
     for t_k in grid_arr:
         try:
-            curve = time_dependent_roc(marker_at(float(t_k)), times, status, float(t_k))
+            curve = time_dependent_roc(marker_at(float(t_k)), times, event, float(t_k))
         except MetricError as exc:
             _warnings.warn(f"skipping horizon {t_k:g}: {exc}", stacklevel=2)
             aucs.append(None)
             continue
         aucs.append(curve.auc)
-    return _km_weighted_auc(times, status, grid_arr, aucs)
+    return _km_weighted_auc(times, event, grid_arr, aucs)
 
 
 def _km_weighted_auc(times, status, grid: np.ndarray, aucs) -> float:

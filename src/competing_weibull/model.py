@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -261,28 +262,18 @@ class Dataset:
 # Evaluation
 #
 # Every quantity below is a reduction of one batched kernel, ``_hazards``,
-# applied to a matrix of linear predictors (one row per subject, one column
-# per group).  The scalar public functions are 1-row views of it.  The
-# columns are in the canonical group order of ``_Model``, so each group
-# reduction is a plain sum along that axis and results are invariant under
-# group relabelling; per-group results return to the caller's labels.
+# of a matrix of linear predictors (one row per subject, one column per
+# group); the views at one time reach it through ``_at_time``.  Columns are
+# in the canonical group order of ``_Model``, so group reductions are plain
+# sums along that axis, invariant under group relabelling.
 # ---------------------------------------------------------------------------
 
 
 def group_log_scale(params: GroupParams, x_row, group: GroupSpec) -> float:
-    """Linear predictor mu_l = alpha_l + x[A_l] . beta_l for one group."""
-    x_row = np.asarray(x_row, dtype=float)
-    if params.beta.shape[0] != group.n_covariates:
-        raise SpecError(
-            f"beta has length {params.beta.shape[0]} but the group selects "
-            f"{group.n_covariates} covariates"
-        )
-    if group.covariate_indices and (x_row.ndim != 1 or x_row.shape[0] <= group.covariate_indices[-1]):
-        raise SpecError("covariate row is too short for this group's index set")
-    if not np.all(np.isfinite(x_row)):
-        raise SpecError("every covariate must be finite")
-    x = np.atleast_1d(x_row)[None, list(group.covariate_indices)]
-    return float(_group_mu(x, params.alpha, params.beta)[0])
+    """Linear predictor mu_l = alpha_l + x[A_l] . beta_l for one group, as
+    :meth:`_Model.mu` checks and evaluates it for the one-group model."""
+    x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
+    return float(_Model(Theta([params]), ModelSpec([group], x_row.shape[-1])).mu([x_row])[0, 0])
 
 
 def _check_time(t: float, allow_zero: bool = False) -> float:
@@ -391,23 +382,25 @@ def _winning(log_haz: np.ndarray) -> np.ndarray:
     return shifted / np.sum(shifted, axis=-1)[..., None]
 
 
+def _at_time(theta: Theta, spec: ModelSpec, covariates, t: float, allow_zero: bool = False):
+    """The views' one checked entry: the :class:`_Model` and :func:`_hazards`
+    of every row at ``t``, or None at ``t = 0``, which only ``allow_zero`` admits."""
+    t = _check_time(t, allow_zero)
+    model = _Model(theta, spec)
+    mu = model.mu(covariates)
+    return model, None if t == 0.0 else _hazards(mu, model.sigma, np.log(t))
+
+
 def _survival_and_winning(theta: Theta, spec: ModelSpec, covariates, t: float):
     """S(t | x) and the winning-probability rows for every covariate row."""
-    t = _check_time(t)
-    model = _Model(theta, spec)
-    log_haz, cumhaz = _hazards(model.mu(covariates), model.sigma, np.log(t))
+    model, (log_haz, cumhaz) = _at_time(theta, spec, covariates, t)
     return np.exp(-np.sum(cumhaz, axis=-1)), _winning(log_haz)[:, model.back]
 
 
 def log_survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """log S(t | x); the per-group log survivals add up."""
-    t = _check_time(t, allow_zero=True)
-    model = _Model(theta, spec)
-    mu = model.mu([x_row])
-    if t == 0.0:
-        return 0.0
-    _, cumhaz = _hazards(mu, model.sigma, np.log(t))
-    return float(-np.sum(cumhaz, axis=-1)[0])
+    _, hazards = _at_time(theta, spec, [x_row], t, allow_zero=True)
+    return 0.0 if hazards is None else float(-np.sum(hazards[1], axis=-1)[0])
 
 
 def survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
@@ -420,26 +413,20 @@ def survival(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
 
 def hazard_by_group(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.ndarray:
     """Per-group hazards (h_1(t), ..., h_L(t)); the total hazard is their sum."""
-    t = _check_time(t)
-    model = _Model(theta, spec)
-    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
+    model, (log_haz, _) = _at_time(theta, spec, [x_row], t)
     with np.errstate(over="ignore"):
         return np.exp(log_haz[0, model.back])
 
 
 def hazard(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Total hazard h(t | x) = sum_l h_l(t | x)."""
-    t = _check_time(t)
-    model = _Model(theta, spec)
-    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
+    _, (log_haz, _) = _at_time(theta, spec, [x_row], t)
     return float(np.exp(_log_total_hazard(log_haz)[0]))
 
 
 def density(theta: Theta, spec: ModelSpec, x_row, t: float) -> float:
     """Density f(t | x) = S(t | x) h(t | x)."""
-    t = _check_time(t)
-    model = _Model(theta, spec)
-    log_haz, cumhaz = _hazards(model.mu([x_row]), model.sigma, np.log(t))
+    _, (log_haz, cumhaz) = _at_time(theta, spec, [x_row], t)
     return float(np.exp(_log_total_hazard(log_haz)[0] - np.sum(cumhaz, axis=-1)[0]))
 
 
@@ -450,9 +437,7 @@ def winning_probability(theta: Theta, spec: ModelSpec, x_row, t: float) -> np.nd
     joint density of (event time, cause l) to the marginal density.
     Components are positive and sum to one.
     """
-    t = _check_time(t)
-    model = _Model(theta, spec)
-    log_haz, _ = _hazards(model.mu([x_row]), model.sigma, np.log(t))
+    model, (log_haz, _) = _at_time(theta, spec, [x_row], t)
     return _winning(log_haz)[0, model.back]
 
 
@@ -509,8 +494,10 @@ _ROW_CHUNK = 32
 _MAX_GROWTH = 700.0
 
 
+@cache
 def _log_time_rule():
-    """Fixed quadrature rule in u = log t, as offsets from log(cutoff).
+    """Fixed quadrature rule in u = log t, built on first use: offsets from
+    log(cutoff), the finite window's then the tail window's, and their weights.
 
     The window [log cutoff - 40, log cutoff] is split into 12 panels whose
     widths halve toward the cutoff, where S falls fastest, with 16
@@ -523,13 +510,8 @@ def _log_time_rule():
     widths = 0.5 ** np.arange(panels)
     widths *= _SPAN / widths.sum()
     left = np.cumsum(widths) - widths - _SPAN
-    offsets = left[:, None] + 0.5 * widths[:, None] * (x + 1.0)
-    return offsets.ravel(), (0.5 * widths[:, None] * w).ravel()
-
-
-_NODE_OFFSETS, _NODE_WEIGHTS = _log_time_rule()
-# The finite window's offsets, then the tail window's.
-_WINDOW_OFFSETS = np.concatenate([_NODE_OFFSETS, -_NODE_OFFSETS])
+    offsets = (left[:, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
+    return np.concatenate([offsets, -offsets]), (0.5 * widths[:, None] * w).ravel()
 
 
 @dataclass(frozen=True)
@@ -637,15 +619,16 @@ def _window_integrals(mu, cutoff, sigma, amounts):
     Beyond it the integrand is below ``cutoff * e^(40 - 109)`` for any sigma,
     and still falling, because ``sum_l H_l / sigma_l > 1`` only grows with t.
     """
-    k = _NODE_OFFSETS.size
+    offsets, weights = _log_time_rule()
+    k = weights.size
     log_cutoff = np.log(cutoff)
     finite, tail = np.empty(mu.shape[0]), np.empty(mu.shape[0])
     # A cumulative hazard that overflows to inf gives S = 0, which is exact.
     with np.errstate(over="ignore"):
-        growth = np.exp(_WINDOW_OFFSETS / sigma[:, None])
+        growth = np.exp(offsets / sigma[:, None])
         for start in range(0, mu.shape[0], _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
-            cumhaz = np.zeros((amounts[rows].shape[0], _WINDOW_OFFSETS.size))
+            cumhaz = np.zeros((amounts[rows].shape[0], offsets.size))
             for l, sigma_l in enumerate(sigma):
                 if _SPAN / sigma_l <= _MAX_GROWTH:
                     cumhaz += amounts[rows, l, None] * growth[l]
@@ -653,10 +636,10 @@ def _window_integrals(mu, cutoff, sigma, amounts):
                     # exp(40 / sigma) overflows, and an amount that underflowed
                     # at the cutoff may grow to matter in the tail window.
                     z = (log_cutoff[rows] - mu[rows, l]) / sigma_l
-                    cumhaz += np.exp(z[:, None] + _WINDOW_OFFSETS / sigma_l)
-            integrand = np.exp(np.subtract(_WINDOW_OFFSETS, cumhaz, out=cumhaz), out=cumhaz)
-            finite[rows] = np.einsum("ij,j->i", integrand[:, :k], _NODE_WEIGHTS)
-            tail[rows] = np.einsum("ij,j->i", integrand[:, k:], _NODE_WEIGHTS)
+                    cumhaz += np.exp(z[:, None] + offsets / sigma_l)
+            integrand = np.exp(np.subtract(offsets, cumhaz, out=cumhaz), out=cumhaz)
+            finite[rows] = np.einsum("ij,j->i", integrand[:, :k], weights)
+            tail[rows] = np.einsum("ij,j->i", integrand[:, k:], weights)
     return cutoff * finite, cutoff * tail
 
 
@@ -672,7 +655,15 @@ def _expected_times(theta: Theta, spec: ModelSpec, covariates, cutoff=None):
     auto = _auto_cutoff(mu, sigma, _CUTOFF_SURVIVAL)
     cutoff = auto if cutoff is None else np.full(mu.shape[0], _check_time(cutoff))
     _, amounts = _hazards(mu, sigma, np.log(cutoff)[:, None])
-    lower, _, upper = _tail_bounds(cutoff, amounts, sigma)
+    try:
+        lower, _, upper = _tail_bounds(cutoff, amounts, sigma)
+    except ConfigError:
+        if cutoff is not auto:
+            raise
+        raise ConfigError(
+            f"the expected time supports sigma up to -log({_CUTOFF_SURVIVAL:g}) = "
+            f"{-math.log(_CUTOFF_SURVIVAL):.4f}; the largest sigma is {np.max(sigma):g}"
+        ) from None
     finite, tail = _window_integrals(mu, cutoff, sigma, amounts)
     # Above the automatic cutoff, the window [cutoff e^-40, cutoff] may start
     # past the bulk of the mass, or hold the drop of S in its widest panels.
@@ -703,10 +694,8 @@ def tail_integral_bounds(theta: Theta, spec: ModelSpec, x_row, cutoff: float):
     ``[cutoff, infinity)`` lies between the bounds.  Requires
     ``S(cutoff) < 0.5`` and ``cutoff * h(cutoff) > 1``.
     """
-    cutoff = np.array([_check_time(cutoff)])
-    model = _Model(theta, spec)
-    _, amounts = _hazards(model.mu([x_row]), model.sigma, np.log(cutoff)[:, None])
-    return tuple(float(v[0]) for v in _tail_bounds(cutoff, amounts, model.sigma))
+    model, (_, amounts) = _at_time(theta, spec, [x_row], cutoff)
+    return tuple(float(v[0]) for v in _tail_bounds(np.array([float(cutoff)]), amounts, model.sigma))
 
 
 def expected_survival_time(
@@ -722,7 +711,9 @@ def expected_survival_time(
     ``S(t) <= 1e-6``.  A given cutoff must satisfy ``S(cutoff) < 0.5`` and
     ``cutoff * h(cutoff) > 1``; otherwise ConfigError is raised.  Above the
     automatic cutoff, ``finite_part`` is the whole integral over the
-    automatic cutoff's windows less ``tail_part``.
+    automatic cutoff's windows less ``tail_part``.  The automatic cutoff
+    meets the condition for every sigma below -log(1e-6) = 13.8; where a
+    larger sigma fails it, the ConfigError names the largest sigma.
     """
     parts = _expected_times(theta, spec, [x_row], cutoff)
     return ExpectedSurvivalTime(*(float(v[0]) for v in parts))

@@ -256,6 +256,19 @@ class TestFitPredictEvaluate:
         tmp, data, spec, fit = pipeline
         assert run("predict", "--fit", fit, "--data", data, "--at", "0,-1", "--out", tmp / "p.csv") == 2
 
+    def test_sigma_beyond_the_automatic_cutoff_names_sigma(self, pipeline, tmp_path, capsys):
+        # At sigma 14 the automatic cutoff fails cutoff * h(cutoff) > 1; the
+        # message blamed a cutoff that no one had given.
+        tmp, data, spec, fit = pipeline
+        group = {"covariates": ["x1"], "alpha": 0.0, "beta": [0.5], "sigma": 14.0}
+        wide = tmp_path / "fit.json"
+        wide.write_text(json.dumps(dict(read_json(fit), groups=[group])))
+        assert run("predict", "--fit", wide, "--data", data, "--at", "1", "--out", tmp_path / "p.csv") == 2
+        assert run("evaluate", "--fit", wide, "--data", data, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("supports sigma up to -log(1e-06) = 13.8155; the largest sigma is 14") == 2
+        assert "Traceback" not in err and "violates" not in err
+
     def test_predict_rejects_mismatched_columns(self, pipeline, tmp_path):
         tmp, data, spec, fit = pipeline
         other = tmp_path / "other.csv"
@@ -694,34 +707,45 @@ class TestHorizonLabels:
         assert read_json(rocdir / "roc_1.json")["horizon"] == float(grid[0])
 
 
-def _scipy_modules_after(script: str, cwd) -> str:
-    """The ``scipy`` modules loaded once ``script`` has run in a fresh
-    interpreter, as printed by it."""
-    script += "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    return run_python(script, cwd=cwd).strip()
+def _denied_modules_after(commands, cwd, deny=("scipy", "numpy.polynomial")) -> list[str]:
+    """The modules of the packages in ``deny`` that a fresh interpreter has
+    loaded once it has imported the CLI and run each of ``commands``."""
+    script = (
+        "import json, sys\n"
+        "from competing_weibull.cli import main\n"
+        f"for argv in {list(commands)!r}:\n"
+        "    assert main(argv.split()) == 0, argv\n"
+        f"deny = {list(deny)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if any(\n"
+        "    m == d or m.startswith(d + '.') for d in deny))))\n"
+    )
+    return json.loads(run_python(script, cwd=cwd))
 
 
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy(self, tmp_path):
-        # The runtime needs numpy alone: scipy is only a test oracle, and
-        # importing it would cost about half a second and 45 MB.
-        assert _scipy_modules_after("import sys\nimport competing_weibull.cli\n", tmp_path) == "[]"
+    # The runtime needs numpy alone: scipy is only a test oracle, and
+    # importing it would cost about half a second and 45 MB.  Only the
+    # expected time needs numpy.polynomial (nine modules), for its
+    # quadrature rule, so the CLI import, simulate and fit skip it.
+    SIMULATE_AND_FIT = (
+        "simulate --example 1 --censoring 0.1 --seed 3 --out data.csv",
+        "fit --data data.csv --spec spec.json --lambda1 2 --lambda2 1 --out fit.json",
+    )
+
+    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self, tmp_path):
+        assert _denied_modules_after((), tmp_path) == []
+
+    def test_simulate_and_fit_load_neither_scipy_nor_numpy_polynomial(self, tmp_path, spec_json_ex1):
+        # simulate with censoring calibrates the rate by the in-package root
+        # search.
+        assert _denied_modules_after(self.SIMULATE_AND_FIT, tmp_path) == []
 
     def test_commands_do_not_load_scipy(self, tmp_path, spec_json_ex1):
-        # simulate with censoring calibrates the rate by the in-package root
-        # search; fit, predict and evaluate need nothing from scipy either.
-        script = (
-            "import sys\n"
-            "from competing_weibull.cli import main\n"
-            "for argv in (\n"
-            "    'simulate --example 1 --censoring 0.1 --seed 3 --out data.csv',\n"
-            "    'fit --data data.csv --spec spec.json --lambda1 2 --lambda2 1 --out fit.json',\n"
-            "    'predict --fit fit.json --data data.csv --at 0.5,1 --out pred.csv',\n"
-            "    'evaluate --fit fit.json --data data.csv --out report.json --rocdir rocs',\n"
-            "):\n"
-            "    assert main(argv.split()) == 0, argv\n"
+        commands = self.SIMULATE_AND_FIT + (
+            "predict --fit fit.json --data data.csv --at 0.5,1 --out pred.csv",
+            "evaluate --fit fit.json --data data.csv --out report.json --rocdir rocs",
         )
-        assert _scipy_modules_after(script, tmp_path) == "[]"
+        assert _denied_modules_after(commands, tmp_path, deny=("scipy",)) == []
 
 
 _ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0]

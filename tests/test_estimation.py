@@ -169,6 +169,48 @@ class TestQFunction:
             assert q_after >= q_before - 1e-9 * (1 + abs(q_before))
 
 
+class TestGroupViewInputs:
+    def test_every_view_rejects_a_bad_eta_or_group_index(self):
+        # Before the views shared one input check, eta[:, :2] on three groups
+        # raised IndexError, ten rows of eta ValueError, group -1 evaluated
+        # the last group, an all-NaN eta left m_step's theta as it was, and
+        # a negative eta went into q_gradients.
+        rng = np.random.default_rng(5)
+        spec, truth, data = random_instance(rng, n=60, L=3)
+        eta = cw.e_step(truth, spec, data)
+        negative, above = eta.copy(), eta.copy()
+        negative[4, 1], above[7, 2] = -0.25, 1.5
+        nan = np.full(eta.shape, np.nan)
+        no_penalty = cw.PenaltyConfig()
+        calls = {
+            "q_group, two eta columns": lambda: cw.q_group(2, truth, spec, data, eta[:, :2]),
+            "q_group, ten eta rows": lambda: cw.q_group(0, truth, spec, data, eta[:10]),
+            "q_group, group -1": lambda: cw.q_group(-1, truth, spec, data, eta),
+            "q_group, group 3": lambda: cw.q_group(3, truth, spec, data, eta),
+            "q_group, group 1.0": lambda: cw.q_group(1.0, truth, spec, data, eta),
+            "penalized_q_group, group -1": lambda: penalized_q_group(
+                -1, truth, spec, data, eta, no_penalty
+            ),
+            "q_function, NaN eta": lambda: cw.q_function(truth, spec, data, nan),
+            "q_function, eta above 1": lambda: cw.q_function(truth, spec, data, above),
+            "q_gradients, negative eta": lambda: cw.q_gradients(
+                1, truth, spec, data, negative, no_penalty
+            ),
+            "m_step, NaN eta": lambda: cw.m_step(truth, spec, data, nan, no_penalty, cw.FitConfig()),
+        }
+        accepted = []
+        for name, call in calls.items():
+            try:
+                call()
+            except cw.SpecError:
+                continue
+            except Exception as exc:  # the wrong error type counts as accepted
+                accepted.append(f"{name}: {type(exc).__name__}")
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+
 class TestQGradients:
     def test_stationary_at_single_group_mle(self):
         rng = np.random.default_rng(44)
@@ -998,6 +1040,13 @@ class TestNewtonFinish:
         )
         assert fit.converged and fit.n_iters <= 797
         assert [g.alpha > 700.0 for g in fit.theta_hat.groups] == [True, False, True]
+        # Their cumulative hazards underflow to 0 at every subject, so the
+        # fit names them, as it names stalled groups, by their labels.
+        assert list(fit.warnings) == [
+            f"group {l} eliminated: its cumulative hazard underflows to 0 at every "
+            "subject, so its alpha and sigma are not determined by the data"
+            for l in (0, 2)
+        ]
 
     def test_relabelled_newton_fit_is_bit_identical(self, monkeypatch):
         phases = spy_newton(monkeypatch)

@@ -323,6 +323,22 @@ class TestInputChecks:
         with pytest.raises(cw.SpecError, match="nonempty"):
             cw.time_dependent_roc([], [], [], 1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, s: cw.kaplan_meier(t, s),
+            lambda t, s: default_time_grid(t, s),
+            lambda t, s: cw.integrated_auc(lambda h: -np.asarray(t), t, s),
+            lambda t, s: cw.concordance_index(t, t, s),
+            lambda t, s: cw.time_dependent_roc(t, t, s, 2.0),
+        ],
+        ids=["kaplan_meier", "default_time_grid", "integrated_auc", "concordance", "roc"],
+    )
+    def test_unequal_lengths_rejected(self, call):
+        # default_time_grid and integrated_auc raised IndexError here.
+        with pytest.raises(cw.SpecError, match="equal-length"):
+            call([1.0, 2.0, 3.0, 4.0], [1, 1, 0])
+
     @pytest.mark.parametrize("name, bad", [("times", np.nan), ("times", np.inf), ("status", 2)])
     def test_default_time_grid_rejects_bad_inputs(self, name, bad):
         # A NaN time gave the grid [nan], and status 2 counted as censored.

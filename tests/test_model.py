@@ -110,6 +110,18 @@ class TestGroupLogScale:
         with pytest.raises(cw.SpecError):
             cw.group_log_scale(params, [1.0], cw.GroupSpec([0]))
 
+    def test_equals_the_model_mu_column_bit_for_bit(self):
+        # group_log_scale is the one-group view of _Model.mu, so it matches
+        # the column of its group in the full model's predictors of the row.
+        rng = np.random.default_rng(23)
+        spec = cw.ModelSpec([cw.GroupSpec([0, 2]), cw.GroupSpec([1]), cw.GroupSpec([0, 1, 3])], p=4)
+        theta = random_theta(rng, spec)
+        model = _Model(theta, spec)
+        for row in rng.standard_normal((50, spec.p)) * 3.0:
+            mu = model.mu([row])[0, model.back]
+            for l, (params, group) in enumerate(zip(theta.groups, spec.groups)):
+                assert cw.group_log_scale(params, row, group) == mu[l]
+
 
 class TestSurvivalHazardDensity:
     def test_exponential_survival(self, exp_unit):
@@ -345,6 +357,19 @@ class TestExpectedSurvivalTime:
         # S(0.9) = 0.4066 < 0.5 but 0.9 * h(0.9) = 0.9 < 1
         with pytest.raises(cw.ConfigError, match="cutoff \\* h\\(cutoff\\) > 1"):
             cw.expected_survival_time(theta, spec, [], cutoff=0.9)
+
+    def test_automatic_cutoff_names_a_sigma_beyond_its_limit(self):
+        # At the automatic cutoff sum_l H_l = -log(1e-6) = 13.8155, so the
+        # tail bounds need every sigma of the dominant groups below it.  At
+        # sigma 14 and 20 the error blamed a cutoff that was never given.
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        for sigma in (14.0, 20.0):
+            theta = cw.Theta([cw.GroupParams(0.0, [], sigma)])
+            message = f"sigma up to -log\\(1e-06\\) = 13.8155; the largest sigma is {sigma:g}"
+            with pytest.raises(cw.ConfigError, match=message):
+                cw.expected_survival_time(theta, spec, [])
+        result = cw.expected_survival_time(cw.Theta([cw.GroupParams(0.0, [], 13.0)]), spec, [])
+        assert result.estimate == pytest.approx(math.gamma(14.0), rel=1e-12)
 
     def test_cutoff_far_above_the_mass_matches_the_automatic_one(self):
         # E[T] = 0.627 here.  The window [cutoff e^-40, cutoff] once returned
