@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import io as formats
 from .errors import (
     CompetingWeibullError,
@@ -26,13 +24,7 @@ from .errors import (
     SpecError,
 )
 from .estimation import FitConfig, PenaltyConfig, fit_em
-from .metrics import (
-    _km_weighted_auc,
-    concordance_index,
-    default_time_grid,
-    risk_markers,
-    time_dependent_roc,
-)
+from .metrics import _horizon_sweep, concordance_index, default_time_grid, risk_markers
 from .model import _expected_times, _survival_and_winning
 from .simulation import builtin_scenario, generate
 
@@ -234,28 +226,14 @@ def cmd_evaluate(args) -> int:
     else:
         risk = risk_markers(theta, spec, data.covariates, mode=args.marker)
     c_index = concordance_index(risk, data.times, data.status)
-    auc_by_horizon: dict[str, float] = {}
-    skipped: dict[str, str] = {}
-    curves = {}
-    for t in horizons:
-        try:
-            curve = time_dependent_roc(markers_by_horizon[t], data.times, data.status, t)
-        except MetricError as exc:
-            skipped[f"{t:g}"] = str(exc)
-            log.warning("skipping horizon %g: %s", t, exc)
-            continue
-        auc_by_horizon[f"{t:g}"] = curve.auc
-        curves[t] = curve
-
+    curves, skipped_at, iauc = _horizon_sweep(markers_by_horizon, data.times, data.status)
+    for t, reason in skipped_at.items():
+        log.warning("skipping horizon %g: %s", t, reason)
     if not curves:
         raise MetricError("every requested horizon was degenerate")
-    if len(curves) >= 2:
-        grid = sorted(curves)
-        iauc = _km_weighted_auc(
-            data.times, data.status, np.asarray(grid), [curves[t].auc for t in grid]
-        )
-    else:
-        iauc = None
+    auc_by_horizon = {f"{t:g}": curve.auc for t, curve in curves.items()}
+    skipped = {f"{t:g}": reason for t, reason in skipped_at.items()}
+    if iauc is None:
         skipped["iauc"] = "needs at least two valid horizons"
         log.warning("iAUC skipped: only %d valid horizon(s)", len(curves))
 

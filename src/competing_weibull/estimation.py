@@ -79,6 +79,16 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Lasso-type penalty weights: exponential on intercepts, L1 on betas.
@@ -93,6 +103,8 @@ class PenaltyConfig:
     lambda2: float = 0.0
 
     def __post_init__(self):
+        if not (_is_real(self.lambda1) and _is_real(self.lambda2)):
+            raise SpecError("penalty weights must be real numbers")
         if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2)):
             raise SpecError("penalty weights must be finite and nonnegative")
 
@@ -134,6 +146,12 @@ class FitConfig:
     compute_std_errors: bool = True
 
     def __post_init__(self):
+        if not all(_is_integer(v) for v in (self.max_em_iters, self.n_starts, self.seed)):
+            raise SpecError("max_em_iters, n_starts and seed must be integers")
+        if not (_is_real(self.epsilon) and _is_real(self.sigma_floor)):
+            raise SpecError("epsilon and sigma_floor must be real numbers")
+        if not isinstance(self.compute_std_errors, bool):
+            raise SpecError("compute_std_errors must be a bool")
         if not 0 < self.epsilon < math.inf:
             raise SpecError("epsilon must be positive and finite")
         if self.max_em_iters < 1 or self.n_starts < 1:
@@ -340,7 +358,7 @@ def _group_inputs(theta: Theta, spec: ModelSpec, data: Dataset, eta, l: int = 0)
     work, eta = _Workspace(spec, data), np.asarray(eta, dtype=float)
     if eta.shape != (data.n, spec.n_groups) or not np.all((eta >= 0.0) & (eta <= 1.0)):
         raise SpecError(f"eta must be a ({data.n}, {spec.n_groups}) array of probabilities in [0, 1]")
-    if not (isinstance(l, (int, np.integer)) and 0 <= l < spec.n_groups):
+    if not (_is_integer(l) and 0 <= l < spec.n_groups):
         raise SpecError(f"group index {l} is not in 0..{spec.n_groups - 1}")
     return work, eta
 

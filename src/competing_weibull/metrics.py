@@ -11,6 +11,11 @@ a ratio of exact integer counts.  A ROC curve is one sort by descending
 marker plus cumulative weight sums read at the end of each tied-marker
 block (O(n log n) time, O(n) memory).  One function checks every (times,
 status) pair; a bad pair, or a score that is not finite, raises SpecError.
+
+One horizon sweep serves ``integrated_auc`` and ``evaluate``; its iAUC
+needs two valid horizons.  The IPCW weights 1 / G(t-) need no floor: the
+censoring Kaplan-Meier G is 0 only after the largest time, when everyone
+at risk there is censored, so G(t-) > 0 at every observed time.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ __all__ = [
     "risk_marker",
     "risk_markers",
 ]
+
+_GRID_POINTS = 9  # quantile levels of the default iAUC grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +214,7 @@ def concordance_index(risk, times, status, method: str = "harrell") -> float:
     rows = np.flatnonzero(event)
     later, below, tied = _later_pair_counts(risk, times, rows)
     if method == "ipcw":
-        censor_km = kaplan_meier(times, ~event)
-        g = censor_km.left_limit(times)
-        g = np.maximum(g, np.min(g[g > 0]) if np.any(g > 0) else 1.0)
-        weight = 1.0 / g[rows] ** 2
+        weight = 1.0 / kaplan_meier(times, ~event).left_limit(times[rows]) ** 2
         total = float(np.sum(weight * later))
         concordant = float(np.sum(weight * (below + 0.5 * tied)))
     else:
@@ -256,12 +260,7 @@ def time_dependent_roc(marker, times, status, horizon: float) -> RocCurve:
             f"{int(case.sum())} cases, {int(control.sum())} controls"
         )
 
-    censor_km = kaplan_meier(times, ~event)
-    g_event = censor_km.left_limit(times)
-    g_horizon = float(censor_km.evaluate(horizon))
-    positive = np.concatenate([g_event[g_event > 0], [g_horizon] if g_horizon > 0 else []])
-    floor = float(np.min(positive)) if positive.size else 1.0
-    w_case = np.where(case, 1.0 / np.maximum(g_event, floor), 0.0)
+    w_case = np.where(case, 1.0 / kaplan_meier(times, ~event).left_limit(times), 0.0)
 
     # Every control carries the same weight, so the false positive rate is a
     # ratio of counts.
@@ -275,8 +274,8 @@ def time_dependent_roc(marker, times, status, horizon: float) -> RocCurve:
     return RocCurve(horizon=horizon, fpr=fpr, tpr=tpr, auc=float(np.trapezoid(tpr, fpr)))
 
 
-def default_time_grid(times, status, n_points: int = 9) -> np.ndarray:
-    """Deciles of the observed event times between the 10th and 90th percentile.
+def default_time_grid(times, status) -> np.ndarray:
+    """The distinct deciles 0.1, 0.2, ..., 0.9 of the observed event times.
 
     A time that is not finite or a status other than 0 or 1 raises
     :class:`SpecError`.
@@ -285,8 +284,7 @@ def default_time_grid(times, status, n_points: int = 9) -> np.ndarray:
     event_times = times[event]
     if event_times.size < 2:
         raise MetricError("need at least two event times to build a grid")
-    grid = np.quantile(event_times, np.linspace(0.1, 0.9, n_points))
-    return np.unique(grid)
+    return np.unique(np.quantile(event_times, np.linspace(0.1, 0.9, _GRID_POINTS)))
 
 
 def integrated_auc(
@@ -298,11 +296,12 @@ def integrated_auc(
     """Event-density-weighted average of AUC(t) over a time grid.
 
     ``marker_at(t)`` must return the per-subject risk markers used at
-    horizon t.  Weights are the Kaplan-Meier event-distribution increments
-    accumulated between consecutive grid points, normalized to sum to one.
-    Degenerate horizons are skipped with a warning; if every horizon is
-    degenerate a :class:`MetricError` is raised.  A time or grid point that
-    is not finite, or a status other than 0 or 1, raises :class:`SpecError`.
+    horizon t.  The grid defaults to :func:`default_time_grid`.  Degenerate
+    horizons are skipped with one warning each, and the weights are those
+    of :func:`_horizon_sweep`.  Fewer than two valid horizons leave no
+    iAUC and raise :class:`MetricError`, as ``evaluate`` reports a null
+    ``iauc``.  A time or grid point that is not finite, or a status other
+    than 0 or 1, raises :class:`SpecError`.
     """
     times, event = _times_and_events(times, status)
     grid_arr = default_time_grid(times, event) if grid is None else np.asarray(grid, dtype=float)
@@ -311,36 +310,39 @@ def integrated_auc(
     if not np.all(np.isfinite(grid_arr)) or np.any(np.diff(grid_arr) <= 0):
         raise SpecError("the iAUC grid must be finite and strictly increasing")
 
-    aucs: list[float | None] = []
-    for t_k in grid_arr:
-        try:
-            curve = time_dependent_roc(marker_at(float(t_k)), times, event, float(t_k))
-        except MetricError as exc:
-            _warnings.warn(f"skipping horizon {t_k:g}: {exc}", stacklevel=2)
-            aucs.append(None)
-            continue
-        aucs.append(curve.auc)
-    return _km_weighted_auc(times, event, grid_arr, aucs)
+    markers = {t: marker_at(t) for t in grid_arr.tolist()}
+    curves, skipped, iauc = _horizon_sweep(markers, times, event)
+    for t, reason in skipped.items():
+        _warnings.warn(f"skipping horizon {t:g}: {reason}", stacklevel=2)
+    if iauc is None:
+        raise MetricError(f"the iAUC needs two valid horizons, got {len(curves)} of {len(markers)}")
+    return iauc
 
 
-def _km_weighted_auc(times, status, grid: np.ndarray, aucs) -> float:
-    """Average of per-horizon AUCs weighted by Kaplan-Meier event increments.
+def _horizon_sweep(markers: dict[float, np.ndarray], times, status):
+    """The :class:`RocCurve` of each valid horizon of ``markers`` (horizon ->
+    per-subject markers) and the reason each degenerate one was skipped,
+    both keyed by horizon in the given order, and the iAUC: the valid AUCs
+    weighted by the Kaplan-Meier event-distribution increments between
+    consecutive valid horizons, normalized to one (None for fewer than two).
 
-    ``aucs[k]`` belongs to ``grid[k]``; None marks a skipped horizon, which
-    drops out together with its weight.  The weights are the event
-    distribution's increments between consecutive grid points, normalized
-    to sum to one (uniform when they sum to zero).
+    A case at t is a case at every later horizon and a control one at every
+    earlier one, so the valid horizons are one run of the sorted ones, and
+    the event distribution is 0 at a degenerate horizon before them.
     """
+    curves, skipped = {}, {}
+    for horizon, marker in markers.items():
+        try:
+            curves[horizon] = time_dependent_roc(marker, times, status, horizon)
+        except MetricError as exc:
+            skipped[horizon] = str(exc)
+    if len(curves) < 2:
+        return curves, skipped, None
+    grid = sorted(curves)
     cdf = 1.0 - kaplan_meier(times, status).evaluate(grid)
-    increments = cdf - np.concatenate([[0.0], cdf[:-1]])
-    kept = [k for k, auc in enumerate(aucs) if auc is not None]
-    if not kept:
-        raise MetricError("every horizon in the iAUC grid was degenerate")
-    weights = increments[kept]
-    if weights.sum() <= 0:
-        weights = np.ones_like(weights)
+    weights = np.diff(cdf, prepend=0.0)
     weights = weights / weights.sum()
-    return float(weights @ np.asarray([aucs[k] for k in kept]))
+    return curves, skipped, float(weights @ np.asarray([curves[t].auc for t in grid]))
 
 
 def risk_marker(

@@ -379,6 +379,34 @@ class TestFitPredictEvaluate:
         assert payload["c_index"] == cw.concordance_index(marker, dataset.times, dataset.status)
 
 
+    def test_report_equals_the_library_metrics(self, pipeline):
+        # The report's AUCs and iAUC are those of time_dependent_roc and
+        # integrated_auc on the same markers, bit for bit; 50 is skipped.
+        tmp, data, spec, fit = pipeline
+        report = tmp / "report_library.json"
+        assert (
+            run("evaluate", "--fit", fit, "--data", data, "--horizons", "2.5,1,50,2", "--out", report)
+            == 0
+        )
+        payload = read_json(report)
+        dataset, _ = read_dataset_csv(str(data))
+        spec_obj, theta, _ = fit_from_json(read_json(fit))
+
+        def marker_at(t):
+            return cw.risk_markers(
+                theta, spec_obj, dataset.covariates, mode="one_minus_survival", horizon=t
+            )
+
+        times, status = dataset.times, dataset.status
+        assert payload["auc_by_horizon"] == {
+            f"{t:g}": cw.time_dependent_roc(marker_at(t), times, status, t).auc
+            for t in (2.5, 1.0, 2.0)
+        }
+        with pytest.warns(UserWarning, match="skipping horizon 50"):
+            iauc = cw.integrated_auc(marker_at, times, status, grid=[1.0, 2.0, 2.5, 50.0])
+        assert payload["iauc"] == iauc
+
+
 class TestExponentialPredictions:
     def test_exponential_predict_values(self, tmp_path):
         # hand-built unit-exponential fit: alpha=0, sigma=1, no covariates

@@ -631,6 +631,38 @@ class TestProxNewtonStep:
         assert descents > 20
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "config, kwargs",
+        [
+            (cw.FitConfig, {"max_em_iters": 2.5}),
+            (cw.FitConfig, {"max_em_iters": True}),
+            (cw.FitConfig, {"n_starts": 1.5}),
+            (cw.FitConfig, {"seed": 1.5}),
+            (cw.FitConfig, {"seed": np.float64(2.0)}),
+            (cw.FitConfig, {"epsilon": "1e-6"}),
+            (cw.FitConfig, {"sigma_floor": True}),
+            (cw.FitConfig, {"compute_std_errors": "no"}),
+            (cw.FitConfig, {"compute_std_errors": 0}),
+            (cw.PenaltyConfig, {"lambda1": "1"}),
+            (cw.PenaltyConfig, {"lambda1": True}),
+            (cw.PenaltyConfig, {"lambda2": np.bool_(True)}),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={v[k]!r}" for k in v),
+    )
+    def test_values_of_the_wrong_type_rejected(self, config, kwargs):
+        # Counts and the seed are integers, weights, epsilon and the sigma
+        # floor real numbers, and a bool is neither.
+        with pytest.raises(cw.SpecError, match="integers|real numbers|bool"):
+            config(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cw.FitConfig(
+            epsilon=np.float32(1e-3), max_em_iters=np.int64(5), n_starts=np.int32(2), seed=np.uint8(3)
+        )
+        cw.PenaltyConfig(lambda1=np.int64(1), lambda2=np.float16(0.5))
+
+
 class TestFitEM:
     def test_start_sigma_is_clamped_into_its_bounds(self):
         # A sigma of 1e308 overflowed sigma**2 in the M-step; a start or an
@@ -1287,6 +1319,28 @@ class TestStandardErrors:
         assert np.all(ratio_mc > 1 / 1.5) and np.all(ratio_mc < 1.5)
         ratio_reported = se / reported
         assert np.all(ratio_reported < 2.5) and np.all(ratio_reported > 1 / 2.5)
+
+    def test_wald_statistics_match_the_normal_law_on_example_two(self):
+        # Where the asymptotics hold (example 2, 20% censoring, n = 1500,
+        # lambda = 0), z = (estimate - truth) / SE is about N(0, 1) for each
+        # of the 14 parameters, so the mean m_r of z^2 over one fit has
+        # expectation 1.  The m_r of independent replications are iid, so
+        # their mean over R = 100 fits lies within 4 standard errors
+        # s / sqrt(R) of 1 (s the sample SD of the m_r) except with
+        # probability about 6e-5.  The bound was fixed before the seeds
+        # were run.  SEs off by a factor c move the mean to about 1 / c^2:
+        # 0.59 for c = 1.3 and 1.69 for c = 1 / 1.3, with bounds of about
+        # 0.12 and 0.34.  These seeds give a mean of 1.022 with s = 0.51.
+        replications = 100
+        mean_z2 = np.empty(replications)
+        for r in range(replications):
+            scen = cw.builtin_scenario(2, 0.2, seed=cw.replication_seed(2025, r))
+            fit = cw.fit_em(scen.model, cw.generate(scen).data)
+            assert fit.converged and fit.std_errors is not None
+            z = (fit.theta_hat.flatten() - scen.truth.flatten()) / fit.std_errors
+            mean_z2[r] = np.mean(z**2)
+        standard_error = np.std(mean_z2, ddof=1) / math.sqrt(replications)
+        assert abs(np.mean(mean_z2) - 1.0) <= 4 * standard_error
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
     def test_single_group_matches_closed_form_information(self, sigma):

@@ -121,6 +121,17 @@ class TestKaplanMeier:
         assert float(km.left_limit(1.0)) == 1.0
         assert float(km.evaluate(1.0)) == pytest.approx(0.5)
 
+    @settings(max_examples=300)
+    @given(tied_censored_samples(), st.booleans())
+    def test_censoring_left_limit_is_positive_at_every_observed_time(self, sample, last_censored):
+        # The IPCW weights 1 / G(t-) need no floor: G reaches 0 only at the
+        # largest time, when everyone at risk there is censored, and no
+        # subject is observed after it.
+        _, times, status, _ = sample
+        if last_censored:
+            status = np.where(times == times.max(), 0, status)
+        assert np.all(cw.kaplan_meier(times, 1 - status).left_limit(times) > 0)
+
     def test_empty_rejected(self):
         with pytest.raises(cw.SpecError):
             cw.kaplan_meier([], [])
@@ -405,6 +416,11 @@ class TestIntegratedAuc:
             cw.integrated_auc(lambda t: -times, times, status, grid=[1.5])
         with pytest.raises(cw.SpecError):
             cw.integrated_auc(lambda t: -times, times, status, grid=[2.0, 1.0])
+        # 0.5 has no case, so one horizon is valid: no iAUC, as evaluate
+        # reports iauc null.
+        with pytest.warns(UserWarning, match="skipping horizon 0.5"):
+            with pytest.raises(cw.MetricError, match="two valid horizons"):
+                cw.integrated_auc(lambda t: -times, times, status, grid=[0.5, 2.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_point_rejected(self, bad):
