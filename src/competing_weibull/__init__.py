@@ -5,126 +5,20 @@ one per competing group, each with its own linear predictor.  The package
 provides exact model evaluation, penalized EM fitting with per-group winning
 probabilities, expected-survival-time prediction with tail bounds,
 simulation scenarios, survival metrics, and a command-line interface.
+
+Each module's ``__all__`` is its public surface; the package exports their
+union, module by module.
 """
 
-from .errors import (
-    CompetingWeibullError,
-    ConfigError,
-    DomainError,
-    MetricError,
-    NumericError,
-    SingularHessianError,
-    SpecError,
-)
-from .estimation import (
-    FitConfig,
-    FitResult,
-    PenaltyConfig,
-    e_step,
-    fit_em,
-    initialize_theta,
-    log_likelihood,
-    m_step,
-    q_function,
-    q_gradients,
-    q_group,
-    standard_errors,
-)
-from .metrics import (
-    RocCurve,
-    StepSurvival,
-    concordance_index,
-    integrated_auc,
-    kaplan_meier,
-    risk_marker,
-    risk_markers,
-    time_dependent_roc,
-)
-from .model import (
-    Dataset,
-    auto_cutoff,
-    ExpectedSurvivalTime,
-    GroupParams,
-    GroupSpec,
-    ModelSpec,
-    Theta,
-    density,
-    expected_survival_time,
-    group_log_scale,
-    hazard,
-    hazard_by_group,
-    log_survival,
-    parameter_names,
-    sample_event,
-    sample_events,
-    survival,
-    tail_integral_bounds,
-    winning_probability,
-)
-from .simulation import (
-    ScenarioSpec,
-    calibrate_censoring_rate,
-    SimulatedDataset,
-    apply_censoring,
-    builtin_scenario,
-    generate,
-    replication_seed,
-)
+from . import errors, estimation, metrics, model, simulation
+from .errors import *  # noqa: F401,F403
+from .estimation import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompetingWeibullError",
-    "ConfigError",
-    "Dataset",
-    "DomainError",
-    "ExpectedSurvivalTime",
-    "FitConfig",
-    "FitResult",
-    "GroupParams",
-    "GroupSpec",
-    "MetricError",
-    "ModelSpec",
-    "NumericError",
-    "PenaltyConfig",
-    "RocCurve",
-    "ScenarioSpec",
-    "SimulatedDataset",
-    "SingularHessianError",
-    "SpecError",
-    "StepSurvival",
-    "Theta",
-    "apply_censoring",
-    "auto_cutoff",
-    "builtin_scenario",
-    "calibrate_censoring_rate",
-    "concordance_index",
-    "density",
-    "e_step",
-    "expected_survival_time",
-    "fit_em",
-    "generate",
-    "group_log_scale",
-    "hazard",
-    "hazard_by_group",
-    "initialize_theta",
-    "integrated_auc",
-    "kaplan_meier",
-    "log_likelihood",
-    "log_survival",
-    "m_step",
-    "parameter_names",
-    "q_function",
-    "q_gradients",
-    "q_group",
-    "replication_seed",
-    "risk_marker",
-    "risk_markers",
-    "sample_event",
-    "sample_events",
-    "standard_errors",
-    "survival",
-    "tail_integral_bounds",
-    "time_dependent_roc",
-    "winning_probability",
+    *errors.__all__, *estimation.__all__, *metrics.__all__, *model.__all__, *simulation.__all__
 ]

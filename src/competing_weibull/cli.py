@@ -142,17 +142,7 @@ def cmd_fit(args) -> int:
             raise ConfigError("--init fit does not match the requested spec/data")
 
     result = fit_em(spec, data, penalty, config, theta_init=theta_init)
-    payload = formats.fit_to_json(
-        spec,
-        result.theta_hat,
-        names,
-        result.std_errors,
-        result.converged,
-        result.n_iters,
-        result.final_loglik,
-        {"lambda1": penalty.lambda1, "lambda2": penalty.lambda2},
-        result.warnings,
-    )
+    payload = formats.fit_to_json(spec, result, names, penalty)
     formats.atomic_write_text(args.out, formats.canonical_json(payload))
 
     eta_path = args.eta or _sidecar(args.out, ".eta.csv")

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "CompetingWeibullError",
+    "SpecError",
+    "DomainError",
+    "ConfigError",
+    "NumericError",
+    "SingularHessianError",
+    "MetricError",
+]
+
 
 class CompetingWeibullError(Exception):
     """Base class for all package-specific errors."""

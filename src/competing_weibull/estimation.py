@@ -53,6 +53,8 @@ from .model import (
     EULER_GAMMA,
     parameter_names,
     _Model,
+    _is_integer,
+    _is_real,
     _group_designs,
     _group_mu,
     _hazards,
@@ -77,16 +79,6 @@ __all__ = [
     "standard_errors",
     "initialize_theta",
 ]
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A Python or numpy integer or float; a bool is not one."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -376,12 +368,14 @@ def q_group(l: int, theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
 
 def q_function(theta: Theta, spec: ModelSpec, data: Dataset, eta) -> float:
     """Expected complete log-likelihood; decomposes exactly as the sum of
-    the group terms, which is what makes the M-step separable."""
+    the group terms, which is what makes the M-step separable.  The terms
+    are summed in canonical group order, so relabelling does not change it."""
     work, eta = _group_inputs(theta, spec, data, eta)
-    return sum(
+    terms = [
         _q_group_values(work, l, g.alpha, g.beta, g.sigma, eta[:, l])[0]
         for l, g in enumerate(theta.groups)
-    )
+    ]
+    return sum(terms[l] for l in _Model(theta, spec).order)
 
 
 def penalized_q_group(

@@ -23,7 +23,9 @@ CSV file and line or the JSON key path: text that is not UTF-8, invalid JSON,
 or a JSON document that does not match its format's schema (``_SCENARIO``,
 ``_MODEL_SPEC`` or ``_FIT``, all checked by :func:`_checked`), that is, a
 missing or unknown key or a value of the wrong JSON type.  The model classes
-then check the values themselves (positive sigma, increasing indices, ...).
+then check the values themselves (positive sigma, increasing indices, ...),
+and :func:`_located` turns their SpecError into a ConfigError naming the file
+or key path.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import io as _io
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SpecError
+from .estimation import FitResult, PenaltyConfig
 from .model import Dataset, GroupParams, GroupSpec, ModelSpec, Theta
 from .simulation import ScenarioSpec
 
@@ -269,6 +273,16 @@ def _document(obj, schema, what: str) -> dict:
     return obj
 
 
+@contextmanager
+def _located(where: str):
+    """Turn a SpecError raised by the model classes into a ConfigError that
+    names ``where``, the file or key path of the checked input."""
+    try:
+        yield
+    except SpecError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _params_json(params: GroupParams) -> dict:
     """One group's ``_GROUP`` fields."""
     return {"alpha": params.alpha, "beta": [float(b) for b in params.beta], "sigma": params.sigma}
@@ -335,11 +349,8 @@ def read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
     table = np.concatenate(tables)
     if not len(table):
         raise ConfigError(f"{path}: no data rows")
-    try:
-        data = Dataset(table[:, 0], table[:, 1], table[:, 2:])
-    except SpecError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return data, header[2:]
+    with _located(path):
+        return Dataset(table[:, 0], table[:, 1], table[:, 2:]), header[2:]
 
 
 def _parse_block(path: str, records, lineno: int, width: int) -> np.ndarray:
@@ -387,13 +398,11 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
     obj = _document(obj, _SCENARIO, "scenario")
     groups, params = [], []
     for g, entry in enumerate(obj["groups"]):
-        try:
+        with _located(f"scenario.groups[{g}]"):
             groups.append(GroupSpec(entry["indices"]))
             params.append(GroupParams(entry["alpha"], entry["beta"], entry["sigma"]))
-        except SpecError as exc:
-            raise ConfigError(f"scenario.groups[{g}]: {exc}") from None
     p = obj.get("p", 1 + max((j for g in groups for j in g.covariate_indices), default=-1))
-    try:
+    with _located("scenario"):
         return ScenarioSpec(
             model=ModelSpec(groups, p=p),
             truth=Theta(params),
@@ -401,8 +410,6 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
             target_censoring=obj["target_censoring"],
             seed=obj["seed"],
         )
-    except SpecError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +429,10 @@ def _model_spec(groups: list, names: Sequence[str], what: str) -> ModelSpec:
             raise ConfigError(
                 f"{what}.groups[{g}]: covariates {unknown} not in data columns {list(names)}"
             )
-        try:
+        with _located(f"{what}.groups[{g}]"):
             specs.append(GroupSpec(sorted(index_of[name] for name in entry["covariates"])))
-        except SpecError as exc:
-            raise ConfigError(f"{what}.groups[{g}]: {exc}") from None
-    try:
+    with _located(what):
         return ModelSpec(specs, p=len(names))
-    except SpecError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
 
 
 def model_spec_from_json(obj: dict, covariate_names: Sequence[str]) -> ModelSpec:
@@ -443,16 +446,10 @@ def model_spec_from_json(obj: dict, covariate_names: Sequence[str]) -> ModelSpec
 
 
 def fit_to_json(
-    spec: ModelSpec,
-    theta: Theta,
-    covariate_names: Sequence[str],
-    std_errors,
-    converged: bool,
-    n_iters: int,
-    final_loglik: float,
-    penalty: dict,
-    warnings: Sequence[str] = (),
+    spec: ModelSpec, result: FitResult, covariate_names: Sequence[str], penalty: PenaltyConfig
 ) -> dict:
+    """The fit JSON (``_FIT``) of a fit of ``spec`` with ``penalty``."""
+    std_errors = result.std_errors
     return {
         "format_version": FORMAT_VERSION,
         "covariate_names": list(covariate_names),
@@ -461,14 +458,14 @@ def fit_to_json(
                 "covariates": [covariate_names[j] for j in group.covariate_indices],
                 **_params_json(params),
             }
-            for group, params in zip(spec.groups, theta.groups)
+            for group, params in zip(spec.groups, result.theta_hat.groups)
         ],
         "std_errors": None if std_errors is None else [float(s) for s in std_errors],
-        "converged": bool(converged),
-        "n_iters": int(n_iters),
-        "final_loglik": float(final_loglik),
-        "penalty": penalty,
-        "warnings": list(warnings),
+        "converged": bool(result.converged),
+        "n_iters": int(result.n_iters),
+        "final_loglik": result.final_loglik,
+        "penalty": {"lambda1": penalty.lambda1, "lambda2": penalty.lambda2},
+        "warnings": list(result.warnings),
     }
 
 
@@ -484,8 +481,6 @@ def fit_from_json(obj: dict) -> tuple[ModelSpec, Theta, list[str]]:
         # Betas are stored in the listed covariate order; realign to the
         # sorted column order the model uses internally.
         beta = [b for _, b in sorted(zip(map(names.index, entry["covariates"]), entry["beta"]))]
-        try:
+        with _located(f"fit.groups[{g}]"):
             params.append(GroupParams(entry["alpha"], beta, entry["sigma"]))
-        except SpecError as exc:
-            raise ConfigError(f"fit.groups[{g}]: {exc}") from None
     return spec, Theta(params), names

@@ -30,6 +30,7 @@ __all__ = [
     "ModelSpec",
     "GroupParams",
     "Theta",
+    "parameter_names",
     "Dataset",
     "ExpectedSurvivalTime",
     "group_log_scale",
@@ -50,6 +51,16 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -63,7 +74,10 @@ class GroupSpec:
     covariate_indices: tuple[int, ...]
 
     def __init__(self, covariate_indices: Sequence[int]):
-        idx = tuple(int(j) for j in covariate_indices)
+        idx = tuple(covariate_indices)
+        if not all(map(_is_integer, idx)):
+            raise SpecError(f"covariate indices must be integers, got {idx}")
+        idx = tuple(map(int, idx))
         if any(j < 0 for j in idx):
             raise SpecError(f"covariate indices must be nonnegative, got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -86,6 +100,8 @@ class ModelSpec:
 
     def __init__(self, groups: Sequence[GroupSpec], p: int):
         groups = tuple(groups)
+        if not _is_integer(p):
+            raise SpecError(f"covariate count must be an integer, got {p!r}")
         p = int(p)
         if len(groups) < 1:
             raise SpecError("a model needs at least one group")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SpecError
 from .model import Dataset, GroupParams, GroupSpec, ModelSpec, Theta, sample_events
+from .model import _is_integer, _is_real
 
 __all__ = [
     "ScenarioSpec",
@@ -42,6 +43,12 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.truth.validate_against(self.model)
+        if not (_is_integer(self.n) and _is_integer(self.seed)):
+            raise SpecError("scenario sample size and seed must be integers")
+        for name in ("n", "seed"):  # numpy integers become Python ints, as JSON needs
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not _is_real(self.target_censoring):
+            raise SpecError("target censoring must be a real number")
         if self.n < 1:
             raise SpecError("scenario sample size must be positive")
         if not (0.0 <= self.target_censoring < 1.0):
@@ -129,7 +136,7 @@ def builtin_scenario(
     truth = Theta(
         [GroupParams(alpha, beta, sigma) for _, alpha, beta, sigma in entry["groups"]]
     )
-    return ScenarioSpec(spec, truth, entry["n"], float(censoring_level), int(seed))
+    return ScenarioSpec(spec, truth, entry["n"], float(censoring_level), seed)
 
 
 def replication_seed(seed: int, index: int) -> int:

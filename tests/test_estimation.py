@@ -381,23 +381,48 @@ class TestMStep:
         assert sigma_hat == pytest.approx(sigma_star, abs=1e-6)
 
     def test_group_updates_are_order_independent(self):
-        rng = np.random.default_rng(17)
-        spec, truth, data = random_instance(rng, n=150, L=3)
-        eta = cw.e_step(truth, spec, data)
-        updated = cw.m_step(truth, spec, data, eta, cw.PenaltyConfig(0.2, 0.1), cw.FitConfig())
+        # Every public fit view relabels with the groups, bit for bit: the
+        # group-level views move with their group and the sums over groups
+        # (log_likelihood, q_function) do not move at all.  In each of these
+        # cases summing Q's group terms in label order is not invariant.
+        penalty, config = cw.PenaltyConfig(0.2, 0.1), cw.FitConfig()
+        cases = []
+        for example, censoring, seed in ((1, 0.1, 2), (2, 0.2, 1), (3, 0.3, 3)):
+            scen = cw.builtin_scenario(example, censoring, seed=seed)
+            cases.append((scen.model, scen.truth, cw.generate(scen).data))
 
-        perm = [2, 0, 1]
-        spec_p = cw.ModelSpec([spec.groups[l] for l in perm], p=spec.p)
-        truth_p = cw.Theta([truth.groups[l] for l in perm])
-        updated_p = cw.m_step(
-            truth_p, spec_p, data, eta[:, perm], cw.PenaltyConfig(0.2, 0.1), cw.FitConfig()
-        )
-        for new_pos, old_pos in enumerate(perm):
-            assert np.array_equal(
-                updated_p.groups[new_pos].beta, updated.groups[old_pos].beta
-            )
-            assert updated_p.groups[new_pos].alpha == updated.groups[old_pos].alpha
-            assert updated_p.groups[new_pos].sigma == updated.groups[old_pos].sigma
+        def views(theta, spec, data, eta):
+            # Per-group values in label order, then the group-free values.
+            def per_group(l):
+                grad = cw.q_gradients(l, theta, spec, data, eta, penalty)
+                return [
+                    cw.q_group(l, theta, spec, data, eta),
+                    penalized_q_group(l, theta, spec, data, eta, penalty),
+                    np.array([grad.alpha, *grad.beta, grad.sigma]),
+                ]
+
+            ends = np.cumsum([2 + g.n_covariates for g in spec.groups])
+            groups = [per_group(l) for l in range(spec.n_groups)]
+            for l, block in enumerate(np.split(cw.standard_errors(theta, spec, data), ends[:-1])):
+                groups[l].append(block)
+            for l, g in enumerate(cw.m_step(theta, spec, data, eta, penalty, config).groups):
+                groups[l].append(np.array([g.alpha, *g.beta, g.sigma]))
+            for l, column in enumerate(cw.e_step(theta, spec, data).T):
+                groups[l].append(column)
+            return groups, [cw.log_likelihood(theta, spec, data), cw.q_function(theta, spec, data, eta)]
+
+        for spec, truth, data in cases:
+            eta = cw.e_step(truth, spec, data)
+            groups, sums = views(truth, spec, data, eta)
+            for perm in itertools.permutations(range(spec.n_groups)):
+                perm = list(perm)
+                spec_p = cw.ModelSpec([spec.groups[l] for l in perm], p=spec.p)
+                truth_p = cw.Theta([truth.groups[l] for l in perm])
+                groups_p, sums_p = views(truth_p, spec_p, data, eta[:, perm])
+                assert sums_p == sums, perm
+                for new_pos, old_pos in enumerate(perm):
+                    for value_p, value in zip(groups_p[new_pos], groups[old_pos]):
+                        assert np.array_equal(value_p, value), perm
 
 
 def block_exactness_cases():

@@ -29,6 +29,57 @@ def random_theta(rng, spec):
     )
 
 
+HEAD_EXPORTS = """
+    CompetingWeibullError ConfigError Dataset DomainError ExpectedSurvivalTime FitConfig
+    FitResult GroupParams GroupSpec MetricError ModelSpec NumericError PenaltyConfig RocCurve
+    ScenarioSpec SimulatedDataset SingularHessianError SpecError StepSurvival Theta
+    apply_censoring auto_cutoff builtin_scenario calibrate_censoring_rate concordance_index
+    density e_step expected_survival_time fit_em generate group_log_scale hazard
+    hazard_by_group initialize_theta integrated_auc kaplan_meier log_likelihood log_survival
+    m_step parameter_names q_function q_gradients q_group replication_seed risk_marker
+    risk_markers sample_event sample_events standard_errors survival tail_integral_bounds
+    time_dependent_roc winning_probability
+""".split()
+
+
+def test_package_exports_each_module_public_surface():
+    from competing_weibull import errors, estimation, metrics, model, simulation
+
+    modules = (errors, estimation, metrics, model, simulation)
+    expected = [name for module in modules for name in module.__all__]
+    assert cw.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert all(hasattr(cw, name) for name in expected)
+    # Nothing the package exported before each module's list defined it is lost.
+    assert len(HEAD_EXPORTS) == 53 and set(HEAD_EXPORTS) <= set(expected)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda base: cw.ScenarioSpec(base.model, base.truth, 150.5, 0.1, 1),
+        lambda base: cw.ScenarioSpec(base.model, base.truth, True, 0.1, 1),
+        lambda base: cw.ScenarioSpec(base.model, base.truth, 150, 0.1, 1.5),
+        lambda base: cw.ScenarioSpec(base.model, base.truth, 150, 0.1, True),
+        lambda base: cw.ScenarioSpec(base.model, base.truth, 150, "0.2", 1),
+        lambda base: cw.GroupSpec([1.9]),
+        lambda base: cw.GroupSpec([True]),
+        lambda base: cw.GroupSpec(["1"]),
+        lambda base: cw.ModelSpec([cw.GroupSpec([0])], p=2.5),
+    ],
+    ids=["n-float", "n-bool", "seed-float", "seed-bool", "censoring-str", "index-float",
+         "index-bool", "index-str", "p-float"],
+)
+def test_value_objects_reject_values_of_the_wrong_type(build):
+    base = cw.builtin_scenario(1, 0.1)
+    with pytest.raises(cw.SpecError):
+        build(base)
+    # numpy integers are integers.
+    assert cw.GroupSpec(np.array([0, 2])).covariate_indices == (0, 2)
+    scenario = cw.ScenarioSpec(base.model, base.truth, np.int64(150), 0.1, np.int64(1))
+    assert type(scenario.n) is int and type(scenario.seed) is int
+
+
 class TestTypes:
     def test_group_spec_rejects_unsorted_and_duplicate_indices(self):
         with pytest.raises(cw.SpecError):
