@@ -261,7 +261,12 @@ def _checked(value, schema, where: str):
     types, name = _SCALARS[schema]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{where} must be {name}, got {value!r}")
-    return float(value) if schema is float else value
+    if schema is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be a number, got an integer beyond the doubles") from None
+    return value
 
 
 def _document(obj, schema, what: str) -> dict:

@@ -51,6 +51,11 @@ class ScenarioSpec:
             raise SpecError("target censoring must be a real number")
         if self.n < 1:
             raise SpecError("scenario sample size must be positive")
+        limit = np.iinfo(np.intp).max
+        if max(self.n, self.model.p, self.n * self.model.p) > limit:
+            raise SpecError(
+                f"scenario sample size, covariate count and their product must be at most {limit}"
+            )
         if not (0.0 <= self.target_censoring < 1.0):
             raise SpecError("target censoring must lie in [0, 1)")
         if self.seed < 0:

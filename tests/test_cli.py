@@ -138,6 +138,12 @@ class TestSimulate:
             ("groups", [5]),
             ("beta", "x"),
             ("indices", [0.5]),
+            ("alpha", 10**400),
+            ("sigma", 10**400),
+            ("target_censoring", 10**400),
+            ("n", 10**30),
+            ("p", 10**400),
+            ("indices", [10**400]),
         ],
         ids=[
             "n-string",
@@ -149,6 +155,12 @@ class TestSimulate:
             "groups-not-objects",
             "beta-string",
             "indices-fraction",
+            "alpha-beyond-doubles",
+            "sigma-beyond-doubles",
+            "censoring-beyond-doubles",
+            "n-beyond-intp",
+            "p-beyond-intp",
+            "index-beyond-intp",
         ],
     )
     def test_malformed_scenario_values_exit_2(self, tmp_path, capsys, key, value):
@@ -256,18 +268,19 @@ class TestFitPredictEvaluate:
         tmp, data, spec, fit = pipeline
         assert run("predict", "--fit", fit, "--data", data, "--at", "0,-1", "--out", tmp / "p.csv") == 2
 
-    def test_sigma_beyond_the_automatic_cutoff_names_sigma(self, pipeline, tmp_path, capsys):
-        # At sigma 14 the automatic cutoff fails cutoff * h(cutoff) > 1; the
-        # message blamed a cutoff that no one had given.
+    def test_sigma_beyond_13_8_predicts_and_evaluates(self, pipeline, tmp_path):
+        # At sigma 14 the survival cutoff fails cutoff * h(cutoff) > 1, and
+        # predict and evaluate exited 2 though E[T] = e^mu Gamma(15) exists.
         tmp, data, spec, fit = pipeline
         group = {"covariates": ["x1"], "alpha": 0.0, "beta": [0.5], "sigma": 14.0}
         wide = tmp_path / "fit.json"
         wide.write_text(json.dumps(dict(read_json(fit), groups=[group])))
-        assert run("predict", "--fit", wide, "--data", data, "--at", "1", "--out", tmp_path / "p.csv") == 2
-        assert run("evaluate", "--fit", wide, "--data", data, "--out", tmp_path / "r.json") == 2
-        err = capsys.readouterr().err
-        assert err.count("supports sigma up to -log(1e-06) = 13.8155; the largest sigma is 14") == 2
-        assert "Traceback" not in err and "violates" not in err
+        out = tmp_path / "p.csv"
+        assert run("predict", "--fit", wide, "--data", data, "--at", "1", "--out", out) == 0
+        assert run("evaluate", "--fit", wide, "--data", data, "--out", tmp_path / "r.json") == 0
+        x1 = [float(row[2]) for row in read_csv_rows(data)[1:]]
+        expected = [float(row[0]) for row in read_csv_rows(out)[1:]]
+        assert expected == pytest.approx([math.exp(0.5 * x) * math.gamma(15.0) for x in x1], rel=1e-12)
 
     def test_predict_rejects_mismatched_columns(self, pipeline, tmp_path):
         tmp, data, spec, fit = pipeline
@@ -305,6 +318,7 @@ class TestFitPredictEvaluate:
             ("covariates", [["x1"]]),
             ("format_version", 1.0),
             ("format_version", True),
+            pytest.param("alpha", 10**400, id="alpha-beyond-doubles"),
         ],
     )
     def test_predict_rejects_malformed_fit_values(self, pipeline, tmp_path, capsys, key, value):
@@ -776,7 +790,7 @@ class TestImportCost:
         assert _denied_modules_after(commands, tmp_path, deny=("scipy",)) == []
 
 
-_ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0]
+_ODD_VALUES = [None, True, "x", [], {}, 2.5, -1, 0, 10**400]
 _MUTATIONS = ["drop", "add", "replace", "truncate", "0xff"]
 
 

@@ -409,18 +409,26 @@ class TestExpectedSurvivalTime:
         with pytest.raises(cw.ConfigError, match="cutoff \\* h\\(cutoff\\) > 1"):
             cw.expected_survival_time(theta, spec, [], cutoff=0.9)
 
-    def test_automatic_cutoff_names_a_sigma_beyond_its_limit(self):
-        # At the automatic cutoff sum_l H_l = -log(1e-6) = 13.8155, so the
-        # tail bounds need every sigma of the dominant groups below it.  At
-        # sigma 14 and 20 the error blamed a cutoff that was never given.
+    def test_wide_sigma_moves_the_automatic_cutoff_to_t_h_equal_2(self):
+        # At the survival cutoff sum_l H_l = -log(1e-6) = 13.8155, so t h(t)
+        # = H / sigma stays below 2 once sigma passes 6.9, and below the 1
+        # the tail bounds need once it passes 13.8, where the expected time
+        # was refused.  The cutoff moves on to t h(t) = 2, that is H = 2
+        # sigma, and sigma 14 gives e^mu Gamma(15).
         spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
-        for sigma in (14.0, 20.0):
+        for sigma in (6.0, 13.0, 14.0, 20.0):
             theta = cw.Theta([cw.GroupParams(0.0, [], sigma)])
-            message = f"sigma up to -log\\(1e-06\\) = 13.8155; the largest sigma is {sigma:g}"
-            with pytest.raises(cw.ConfigError, match=message):
-                cw.expected_survival_time(theta, spec, [])
-        result = cw.expected_survival_time(cw.Theta([cw.GroupParams(0.0, [], 13.0)]), spec, [])
-        assert result.estimate == pytest.approx(math.gamma(14.0), rel=1e-12)
+            result = cw.expected_survival_time(theta, spec, [])
+            assert result.estimate == pytest.approx(math.gamma(1.0 + sigma), rel=1e-12)
+            assert cw.survival(theta, spec, [], result.cutoff) <= 1e-6
+            assert result.tail_lower <= result.tail_part <= result.tail_upper
+            if sigma < 6.9:
+                assert result.cutoff == cw.auto_cutoff(theta, spec, [])
+            else:
+                assert result.cutoff ** (1.0 / sigma) == pytest.approx(2.0 * sigma, rel=1e-12)
+        # At sigma 200 that cutoff, 400^200, lies beyond the doubles.
+        with pytest.raises(cw.ConfigError, match="the largest sigma is 200"):
+            cw.expected_survival_time(cw.Theta([cw.GroupParams(0.0, [], 200.0)]), spec, [])
 
     def test_cutoff_far_above_the_mass_matches_the_automatic_one(self):
         # E[T] = 0.627 here.  The window [cutoff e^-40, cutoff] once returned
@@ -488,7 +496,7 @@ class TestExpectedSurvivalTime:
                 assert cw.survival(theta, spec, [], 0.99 * cutoff) > tail_survival
 
     @pytest.mark.parametrize(
-        "sigma", [0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0, 13.0]
+        "sigma", [0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0, 13.0, 14.0, 20.0, 40.0]
     )
     def test_single_group_closed_form_grid(self, sigma):
         # E[T] = e^mu Gamma(1 + sigma), and the part below the cutoff is
@@ -497,7 +505,8 @@ class TestExpectedSurvivalTime:
         # quadrature, so the estimate is within rel 1e-12 over the whole grid
         # (the former S/h tail term was off by 5e-4 at sigma = 5 and 7e-2 at
         # sigma = 10), and the exact tail lies inside the Mill's-ratio
-        # sandwich.  Small sigma once overflowed to NaN.
+        # sandwich.  Small sigma once overflowed to NaN, and sigma from 13.8
+        # up was refused.
         from scipy import special
 
         spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
@@ -546,6 +555,28 @@ class TestExpectedSurvivalTime:
         result = cw.expected_survival_time(theta, spec, [])
         assert result.estimate == pytest.approx(1.0, rel=1e-12)
         assert result.tail_part == pytest.approx(math.exp(-result.cutoff), rel=1e-12)
+
+    def test_narrow_groups_beyond_the_cutoff_against_quad(self):
+        # Two sigma = 0.01 groups cut S off at t = e^3, just past the cutoff
+        # e^2.63 of the unit exponential.  Fixed windows around the cutoff
+        # put that edge in their widest panel: tail_part was off by 2.3e-5
+        # relative and the estimate by 2.3e-11.
+        from scipy import integrate
+
+        spec = cw.ModelSpec([cw.GroupSpec([])] * 3, p=0)
+        groups = [(0.0, 1.0), (3.0, 0.01), (3.0, 0.01)]
+        theta = cw.Theta([cw.GroupParams(mu, [], sigma) for mu, sigma in groups])
+        result = cw.expected_survival_time(theta, spec, [])
+
+        def f(u):
+            return math.exp(u - sum(math.exp((u - mu) / sigma) for mu, sigma in groups))
+
+        log_cutoff = math.log(result.cutoff)
+        finite = integrate.quad(f, -40.0, log_cutoff, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        tail = integrate.quad(f, log_cutoff, 3.5, points=[3.0], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert result.tail_part == pytest.approx(tail, rel=1e-10)
+        assert result.estimate == pytest.approx(finite + tail, rel=1e-12)
+        assert result.tail_lower <= result.tail_part <= result.tail_upper
 
     def test_tolerance_against_closed_form_and_log_trapezoid(self, mixed_pair):
         # The stated tolerance of expected_survival_time: rel 1e-6 on the

@@ -9,15 +9,19 @@ covers examples 1-3 at 10%, 20% and 30% censoring, seeds 1-4, penalties
 (2, 1) and (0, 0), ``predict --at 0.5,1,2``, ``evaluate`` with both
 markers and ``--rocdir``, and three horizon lists with degenerate
 horizons.  Every output file, exit code and standard error is compared;
-each difference is printed, then a count of runs and files.  Exits 0 when
-nothing differs and 1 otherwise.
+each difference is printed, then a count of runs and files.  For a CSV or
+JSON file that differs, each column or key whose values differ is printed
+with its largest relative difference when all its values are numbers.
+Exits 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +93,71 @@ def run_all(src: Path, workdir: Path) -> tuple[list[tuple[int, bytes]], dict[str
     return results, files
 
 
+def _leaves(node, key: str = ""):
+    """(key path, value) of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for name, child in node.items():
+            yield from _leaves(child, f"{key}.{name}" if key else name)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaves(child, f"{key}[{i}]")
+    else:
+        yield key, node
+
+
+def _values(path: str, data: bytes) -> dict[str, list]:
+    """The values of a CSV file by column, or of a JSON file by key path
+    (list indices dropped, so a list is one key); empty for other files."""
+    text = data.decode(errors="replace")
+    values: dict[str, list] = {}
+    if path.endswith(".csv"):
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+        for row in rows:
+            for name, cell in zip(header, row):
+                values.setdefault(name, []).append(cell)
+    elif path.endswith(".json"):
+        try:
+            document = json.loads(text)
+        except ValueError:
+            return {}
+        for key, value in _leaves(document):
+            values.setdefault(key.split("[")[0], []).append(value)
+    return values
+
+
+def _number(value):
+    """``value`` as a float, or None for text that is not a number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def field_differences(path: str, ref: bytes, tree: bytes) -> list[str]:
+    """One line per column or key whose values differ between two versions
+    of a CSV or JSON file: its largest relative difference when every value
+    is a number and both versions hold as many, otherwise only that it differs."""
+    ref_values, tree_values = _values(path, ref), _values(path, tree)
+    lines = []
+    for name in sorted(ref_values.keys() | tree_values.keys()):
+        a, b = ref_values.get(name), tree_values.get(name)
+        if a == b:
+            continue
+        pairs = list(zip(map(_number, a or []), map(_number, b or [])))
+        if a is None or b is None or len(a) != len(b) or any(x is None or y is None for x, y in pairs):
+            lines.append(f"  {name}: differs")
+            continue
+        largest = 0.0
+        for x, y in pairs:
+            if x != y:
+                scale = max(abs(x), abs(y))
+                largest = max(largest, math.inf if not math.isfinite(scale) else abs(x - y) / scale)
+        lines.append(f"  {name}: largest relative difference {largest:.3g}")
+    return lines
+
+
 def snapshot(ref: str, target: Path) -> None:
     """The files of ``ref`` under ``target``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
@@ -127,6 +196,8 @@ def main(argv=None) -> int:
         elif ref_files[path] != tree_files[path]:
             differences += 1
             print(f"file {path}: contents differ")
+            for line in field_differences(path, ref_files[path], tree_files[path]):
+                print(line)
     print(f"{len(ref_runs)} runs, {len(ref_files)} files at {ref} and {len(tree_files)} in the "
           f"working tree: {differences} difference(s)")
     return 1 if differences else 0
