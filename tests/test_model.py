@@ -545,6 +545,13 @@ class TestExpectedSurvivalTime:
         assert result.estimate == result.finite_part + result.tail_part
         assert result.tail_lower <= result.tail_part <= result.tail_upper
 
+    def test_expected_time_near_the_largest_double(self):
+        # E[T] = e^708 Gamma(1.01) = 3.0e307 is a double, but e^(log cutoff)
+        # times the tail window's width is not: that product overflowed.
+        spec = cw.ModelSpec([cw.GroupSpec([])], p=0)
+        result = cw.expected_survival_time(cw.Theta([cw.GroupParams(708.0, [], 0.01)]), spec, [])
+        assert result.estimate == pytest.approx(math.exp(708.0) * math.gamma(1.01), rel=1e-12)
+
     def test_narrow_group_far_beyond_the_cutoff_changes_nothing(self):
         # The second group's cumulative hazard underflows at the cutoff and
         # its growth factor exp(40 / 0.01) overflows.  Its time e^11 lies where
@@ -577,6 +584,27 @@ class TestExpectedSurvivalTime:
         assert result.tail_part == pytest.approx(tail, rel=1e-10)
         assert result.estimate == pytest.approx(finite + tail, rel=1e-12)
         assert result.tail_lower <= result.tail_part <= result.tail_upper
+
+    def test_wide_group_cut_off_by_a_narrow_one_against_quad(self):
+        # A sigma = 0.01 group cuts S off at t = e^68.66, where log f is 2.2
+        # below its peak at the mode e^59.9 of the sigma = 20 group.  A cutoff
+        # past that edge ends the middle window there: with panels that only
+        # halved toward both ends the estimate was off by 2.2e-6 relative.
+        from scipy import integrate
+
+        spec = cw.ModelSpec([cw.GroupSpec([])] * 2, p=0)
+        groups = [(0.0, 20.0), (68.66, 0.01)]
+        theta = cw.Theta([cw.GroupParams(mu, [], sigma) for mu, sigma in groups])
+
+        def f(u):
+            return math.exp(u - sum(math.exp((u - mu) / sigma) for mu, sigma in groups))
+
+        edges = [-40.0, 40.0, 55.0, 60.0, 65.0, 68.0, 68.5, 68.6, 68.65, 68.7, 68.75, 69.0]
+        exact = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(edges, edges[1:]))
+        assert cw.expected_survival_time(theta, spec, []).estimate == pytest.approx(exact, rel=1e-12)
+        for cutoff in (1e30, 1e300):
+            result = cw.expected_survival_time(theta, spec, [], cutoff=cutoff)
+            assert result.estimate == pytest.approx(exact, rel=1e-8)
 
     def test_tolerance_against_closed_form_and_log_trapezoid(self, mixed_pair):
         # The stated tolerance of expected_survival_time: rel 1e-6 on the
