@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration or validation error, 3 I/O failure,
 4 numeric failure.  Diagnostic messages go to standard error; the
 ``COMPETING_WEIBULL_LOG`` environment variable sets the log level
-(debug/info/warning).  No command mutates its inputs, and every output file
+(debug/info/warning/error/critical, in any case; anything else means
+warning).  No command mutates its inputs, and every output file
 is written atomically.
 """
 
@@ -36,10 +37,15 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _setup_logging():
-    level = os.environ.get("COMPETING_WEIBULL_LOG", "warning").upper()
+    """Log at the level ``COMPETING_WEIBULL_LOG`` names, in any case; any
+    other value, an empty one included, means warning."""
+    level = os.environ.get("COMPETING_WEIBULL_LOG", "").lower()
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level.upper() if level in _LOG_LEVELS else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
@@ -95,8 +101,7 @@ def cmd_simulate(args) -> int:
         )
 
     sim = generate(scenario)
-    names = [f"x{j + 1}" for j in range(scenario.model.p)]
-    formats.write_dataset_csv(args.out, sim.data, names)
+    formats.write_dataset_csv(args.out, sim.data)
 
     truth_path = args.truth or _sidecar(args.out, ".truth.json")
     truth = formats.scenario_to_json(scenario)
@@ -230,8 +235,9 @@ def cmd_evaluate(args) -> int:
     if args.rocdir:
         os.makedirs(args.rocdir, exist_ok=True)
         for t, curve in curves.items():
-            formats.write_roc_files(
-                os.path.join(args.rocdir, f"roc_{t:g}"), t, curve.fpr, curve.tpr, curve.auc
+            roc = {"auc": curve.auc, "fpr": curve.fpr.tolist(), "horizon": t, "tpr": curve.tpr.tolist()}
+            formats.atomic_write_text(
+                os.path.join(args.rocdir, f"roc_{t:g}.json"), formats.canonical_json(roc)
             )
 
     report = {
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="risk marker for the concordance index",
     )
     ev.add_argument("--out", required=True, help="output report JSON")
-    ev.add_argument("--rocdir", help="directory for per-horizon ROC CSV/JSON files")
+    ev.add_argument("--rocdir", help="directory for per-horizon ROC JSON files")
     ev.set_defaults(func=cmd_evaluate)
     return parser
 

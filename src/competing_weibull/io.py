@@ -14,9 +14,7 @@ integer or boolean as an integer.  :func:`read_dataset_csv` parses, checks
 and converts a block at a time, and joins the blocks' float tables.
 :func:`canonical_json` joins a list of numbers in one string operation;
 everything else is encoded by the standard library, so its output equals
-``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  :func:`write_roc_files`
-writes a ROC curve's CSV and JSON exactly as those two functions would,
-formatting each distinct coordinate once.
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.
 
 Every input is checked here.  A malformed one raises ConfigError naming the
 CSV file and line or the JSON key path: text that is not UTF-8, invalid JSON,
@@ -54,7 +52,6 @@ __all__ = [
     "canonical_json",
     "read_json",
     "write_csv",
-    "write_roc_files",
     "read_dataset_csv",
     "write_dataset_csv",
     "scenario_from_json",
@@ -88,7 +85,9 @@ def _json_text(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)) and obj:
         types = set(map(type, obj))
         if types <= _NUMBER_TYPES:
-            body = _finite_spelling(("," + inner).join(map(repr, obj)))
+            body = ("," + inner).join(map(repr, obj))
+            if "n" in body:  # of number reprs, only nan and inf hold an "n"
+                body = body.replace("inf", "Infinity").replace("nan", "NaN")
         else:
             body = ("," + inner).join([_json_text(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
@@ -99,14 +98,6 @@ def _json_text(obj, newline: str) -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
-
-
-def _finite_spelling(text: str) -> str:
-    """Joined number ``repr``s with ``nan``/``inf`` spelled as JSON's encoder
-    spells them; no other number ``repr`` contains an ``n``."""
-    if "n" in text:
-        text = text.replace("inf", "Infinity").replace("nan", "NaN")
-    return text
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -161,37 +152,6 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     chunks = ([c[i:i + _CSV_CHUNK_ROWS].tolist() for c in columns] for i in range(0, n, _CSV_CHUNK_ROWS))
     body = (line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))) for chunk in chunks)
     _atomic_write(path, chain((buffer.getvalue(),), body))
-
-
-def _float_reprs(column) -> list[str]:
-    """``repr`` of each float in ``column``, each distinct value formatted
-    once.  Values are told apart by their bits, so -0.0 and 0.0 keep their
-    own spellings."""
-    bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def write_roc_files(base: str, horizon: float, fpr, tpr, auc: float) -> None:
-    """Write one ROC curve to ``base.csv`` and ``base.json``.
-
-    The files are byte for byte ``write_csv(base + ".csv", ["fpr", "tpr"],
-    [fpr, tpr])`` and ``canonical_json({"horizon": horizon, "auc": auc,
-    "points": [[fpr_i, tpr_i], ...]})``.  A ROC curve is a staircase whose
-    coordinates repeat, so each distinct value of a column is formatted
-    once and both files are built from those strings.
-    """
-    fpr, tpr = _float_reprs(fpr), _float_reprs(tpr)
-    if len(fpr) != len(tpr) or not fpr:
-        raise ValueError("write_roc_files needs two nonempty columns of one length")
-    atomic_write_text(base + ".csv", "fpr,tpr\n" + "".join(map("{},{}\n".format, fpr, tpr)))
-    points = ",\n    ".join(map("[\n      {},\n      {}\n    ]".format, fpr, tpr))
-    atomic_write_text(
-        base + ".json",
-        '{\n  "auc": %s,\n  "horizon": %s,\n  "points": [\n    %s\n  ]\n}\n'
-        % (json.dumps(auc), json.dumps(horizon), _finite_spelling(points)),
-    )
 
 
 def read_json(path: str):

@@ -5,6 +5,9 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,8 +352,6 @@ class TestFitPredictEvaluate:
         assert set(payload["auc_by_horizon"]) == {"1", "2"}
         assert "50" in payload["skipped_horizons"]  # beyond the data range
         for t in ("1", "2"):
-            rows = read_csv_rows(rocdir / f"roc_{t}.csv")
-            assert rows[0] == ["fpr", "tpr"]
             curve = read_json(rocdir / f"roc_{t}.json")
             assert curve["auc"] == payload["auc_by_horizon"][t]
 
@@ -419,6 +420,33 @@ class TestFitPredictEvaluate:
         with pytest.warns(UserWarning, match="skipping horizon 50"):
             iauc = cw.integrated_auc(marker_at, times, status, grid=[1.0, 2.0, 2.5, 50.0])
         assert payload["iauc"] == iauc
+
+    def test_roc_files_equal_the_library_curves(self, pipeline, tmp_path):
+        # Each valid horizon's file holds time_dependent_roc's curve, value
+        # for value; the degenerate horizon 50 gets no file.
+        tmp, data, spec, fit = pipeline
+        report, rocdir = tmp_path / "report.json", tmp_path / "rocs"
+        assert (
+            run("evaluate", "--fit", fit, "--data", data, "--horizons", "2.5,1,50,2", "--out", report, "--rocdir", rocdir)
+            == 0
+        )
+        aucs = read_json(report)["auc_by_horizon"]
+        dataset, _ = read_dataset_csv(str(data))
+        spec_obj, theta, _ = fit_from_json(read_json(fit))
+        horizons = (2.5, 1.0, 2.0)
+        assert sorted(os.listdir(rocdir)) == sorted(f"roc_{t:g}.json" for t in horizons)
+        for t in horizons:
+            marker = cw.risk_markers(
+                theta, spec_obj, dataset.covariates, mode="one_minus_survival", horizon=t
+            )
+            curve = cw.time_dependent_roc(marker, dataset.times, dataset.status, t)
+            assert read_json(rocdir / f"roc_{t:g}.json") == {
+                "auc": curve.auc,
+                "fpr": curve.fpr.tolist(),
+                "horizon": t,
+                "tpr": curve.tpr.tolist(),
+            }
+            assert curve.auc == aucs[f"{t:g}"]
 
 
 class TestExponentialPredictions:
@@ -745,8 +773,28 @@ class TestHorizonLabels:
         payload = read_json(report)
         assert list(payload["auc_by_horizon"]) == ["1"]
         assert payload["iauc"] is None and "iauc" in payload["skipped_horizons"]
-        assert sorted(os.listdir(rocdir)) == ["roc_1.csv", "roc_1.json"]
+        assert sorted(os.listdir(rocdir)) == ["roc_1.json"]
         assert read_json(rocdir / "roc_1.json")["horizon"] == float(grid[0])
+
+
+class TestLogLevel:
+    """``COMPETING_WEIBULL_LOG`` names a standard level in any case; any other
+    value means warning and never stops a command."""
+
+    @pytest.mark.parametrize("value", ["basic_format", "notset", "", "bogus", "DEBUG"])
+    def test_any_value_runs_the_command(self, tmp_path, value):
+        env = dict(os.environ, COMPETING_WEIBULL_LOG=value)
+        src = str(Path(cw.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = "simulate --example 1 --censoring 0.1 --out x.csv".split()
+        done = subprocess.run(
+            [sys.executable, "-m", "competing_weibull", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        info_lines = [line for line in done.stderr.splitlines() if line.startswith("INFO ")]
+        assert bool(info_lines) == (value == "DEBUG")
 
 
 def _denied_modules_after(commands, cwd, deny=("scipy", "numpy.polynomial")) -> list[str]:
